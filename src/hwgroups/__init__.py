@@ -21,7 +21,6 @@ Headline entry points are re-exported here; the modules hold the rest:
 
 from __future__ import annotations
 
-from ._f2 import BACKEND as F2_BACKEND
 from .cohomology_f2 import (
     e3_dims,
     en_basis,
@@ -70,6 +69,10 @@ from .hw_group import (
 from .quotient_w import commutator_rank, euler_wn, kernel_rank_h, psi, reduce_w
 
 __version__ = "0.1.0"
+
+# F_2 elimination has a single pure-Python implementation; the name is
+# kept for callers that record which one produced a result.
+F2_BACKEND = "pure"
 
 __all__ = [
     "F2_BACKEND",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import cohomology_f2, cohomology_q, crystal, group_ring, hw_group, quotient_w
-from .exact_algebra import IntPolynomial
+from .exact_algebra import IntPolynomial, VerificationError
 from .hw_group import BallBudgetError, ElementSyntaxError
 
 __all__ = ["main", "build_parser"]
@@ -507,6 +507,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BallBudgetError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 2
+    except VerificationError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 from .exact_algebra import (
     F2Matrix,
     IntPolynomial,
+    VerificationError,
     binomial,
     f2_reduce,
     f2_rref,
@@ -189,7 +190,7 @@ def spectral_tables(n: int) -> SpectralTables:
     """Compute dim E_2, ker d_2, im d_2 and dim E_3 blockwise.
 
     Ranks are taken for p <= 4 so that columns 3 and 4 of the third page
-    are materialized; they must vanish, and that is asserted here rather
+    are materialized; they must vanish, and that is checked here rather
     than assumed.
     """
     if n < 0:
@@ -211,9 +212,10 @@ def spectral_tables(n: int) -> SpectralTables:
             z2[(p, q)] = z
             b2[(p, q)] = b
             e3[(p, q)] = z - b
-            assert z - b >= 0, f"negative dimension at {(p, q)}"
-            if p >= 3:
-                assert z - b == 0, f"third page fails to vanish at {(p, q)}"
+            if z - b < 0:
+                raise VerificationError(f"negative dimension at {(p, q)}")
+            if p >= 3 and z - b != 0:
+                raise VerificationError(f"third page fails to vanish at {(p, q)}")
     e2_table = {k: v for k, v in e2_dim.items() if k[1] <= n}
     return SpectralTables(n=n, e2=e2_table, z2=z2, b2=b2, e3=e3)
 

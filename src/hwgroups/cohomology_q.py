@@ -3,18 +3,19 @@
 Every wedge monomial g_A spans a one-dimensional module on which the
 generator x_j acts by the sign (-1)^(|A| - [j in A]); the Poincare
 polynomial is the subset sum of the h^0/h^1 contributions of these
-characters.  The closed form of the same sum is expanded with exact
-rational intermediates and must come out integral.
+characters.  The closed form of the same sum has half-integer
+intermediates; it is expanded at twice its value over the integers and
+must halve exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
-from .exact_algebra import IntPolynomial, rational_rank
-from .cohomology_f2 import poincare_f2_closed
+from .exact_algebra import IntPolynomial, VerificationError, rational_rank
+from .cohomology_f2 import _mask_to_set, poincare_f2_closed
 
 __all__ = [
     "Character",
@@ -129,7 +130,7 @@ def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Int
     coeffs = [0] * (n + 2)
     for mask in range(1 << n):
         size = mask.bit_count()
-        eps = wedge_character(n, _mask_members(mask))
+        eps = wedge_character(n, _mask_to_set(mask))
         coeffs[size] += h0(eps)
         h = h1(eps)
         if h:
@@ -137,72 +138,25 @@ def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Int
     return IntPolynomial(tuple(coeffs))
 
 
-def _mask_members(mask: int) -> List[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _qpoly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _qpoly_add(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return out
-
-
-def _qpoly_power(base: List[Fraction], k: int) -> List[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _qpoly_mul(out, base)
-    return out
-
-
 def poincare_q_closed(n: int) -> IntPolynomial:
     """Closed form of the rational Poincare polynomial.
 
     (1+x) * (1 + c_n x^n + x((n-2)/2 (1+x)^(n-1) - n/2 (1-x)^(n-1)))
-    with c_n = 1 for odd n and 0 for even n.  The half-integer
-    intermediates must cancel; integrality is asserted, never rounded.
+    with c_n = 1 for odd n and 0 for even n.  Twice the polynomial is
+    expanded over the integers and halved; every coefficient must be
+    even, which is checked, never rounded.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     if n == 0:
         return IntPolynomial((1,))
-    one_plus = _qpoly_power([Fraction(1), Fraction(1)], n - 1)
-    one_minus = _qpoly_power([Fraction(1), Fraction(-1)], n - 1)
-    mix = _qpoly_add(
-        [Fraction(n - 2, 2) * c for c in one_plus],
-        [Fraction(-n, 2) * c for c in one_minus],
-    )
-    inner = [Fraction(0)] * (n + 2)
-    inner[0] = Fraction(1)
-    if n % 2:
-        inner[n] += Fraction(1)
-    for k, c in enumerate(mix):
-        inner[k + 1] += c
-    expanded = _qpoly_mul([Fraction(1), Fraction(1)], inner)
-    coeffs = []
-    for c in expanded:
-        if c.denominator != 1:
-            raise AssertionError(f"non-integral coefficient {c} in closed form")
-        coeffs.append(c.numerator)
-    return IntPolynomial(tuple(coeffs))
+    x = IntPolynomial.x()
+    mix = (n - 2) * (1 + x) ** (n - 1) - n * (1 - x) ** (n - 1)
+    twice = (1 + x) * (2 + 2 * (n % 2) * x ** n + x * mix)
+    odd = [c for c in twice.coeffs if c % 2]
+    if odd:
+        raise VerificationError(f"non-integral coefficient {odd[0]}/2 in closed form")
+    return IntPolynomial(tuple(c // 2 for c in twice.coeffs))
 
 
 def mod2_compare(n: int) -> bool:

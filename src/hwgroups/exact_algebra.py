@@ -1,7 +1,7 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, F_2 matrices with rank/kernel, Smith normal form
-over Z, binomials and exact rationals.  Everything here is pure and
+Integer polynomials, F_2 matrices with rank and rref, Smith normal
+form over Z, binomials and exact rationals.  Everything here is pure and
 allocation-cheap; no floating point is used anywhere.
 """
 
@@ -12,19 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from ._f2 import BACKEND as F2_BACKEND
-from ._f2 import f2_rank as _raw_f2_rank
-from ._f2 import f2_rank_kernel as _raw_f2_rank_kernel
-
 __all__ = [
     "Rational",
     "IntPolynomial",
-    "poly_add",
-    "poly_mul",
-    "poly_eval",
     "F2Matrix",
-    "f2_rank",
-    "f2_rank_kernel",
     "f2_rref",
     "f2_reduce",
     "IntMatrix",
@@ -32,10 +23,18 @@ __all__ = [
     "binomial",
     "rational_rank",
     "solve_rational",
-    "F2_BACKEND",
+    "VerificationError",
 ]
 
 Rational = Fraction
+
+
+class VerificationError(AssertionError):
+    """A mathematical identity the package checks at run time failed.
+
+    Raised explicitly rather than by ``assert`` so the check still runs
+    under ``python -O``.
+    """
 
 
 def binomial(n: int, k: int) -> int:
@@ -166,18 +165,6 @@ def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
-def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p + q
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_eval(p: IntPolynomial, value):
-    return p(value)
-
-
 @dataclass(frozen=True)
 class F2Matrix:
     """Matrix over F_2; row i is a bit-vector whose bit j is entry (i, j)."""
@@ -231,30 +218,20 @@ class F2Matrix:
                 row ^= low
         return F2Matrix(tuple(cols), self.n_rows)
 
-    def apply(self, vec: int) -> int:
-        """Image of a column bit-vector: XOR of columns selected by vec."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & vec).bit_count() & 1:
-                out |= 1 << i
-        return out
-
     def rank(self) -> int:
-        return _raw_f2_rank(list(self.rows), self.n_cols)
-
-    def rank_kernel(self) -> Tuple[int, List[int]]:
-        return _raw_f2_rank_kernel(list(self.rows), self.n_rows, self.n_cols)
-
-
-def f2_rank(m: F2Matrix) -> int:
-    return m.rank()
-
-
-def f2_rank_kernel(m: F2Matrix) -> Tuple[int, List[int]]:
-    """Rank together with a triangular basis of the right kernel."""
-    rank, kernel = m.rank_kernel()
-    assert rank + len(kernel) == m.n_cols
-    return rank, kernel
+        """Rank by elimination on packed rows, pivoting on the highest set bit."""
+        pivots: dict[int, int] = {}
+        rank = 0
+        for row in self.rows:
+            while row:
+                lead = row.bit_length() - 1
+                piv = pivots.get(lead)
+                if piv is None:
+                    pivots[lead] = row
+                    rank += 1
+                    break
+                row ^= piv
+        return rank
 
 
 def f2_rref(rows: Iterable[int]) -> dict:

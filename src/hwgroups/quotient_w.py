@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from .exact_algebra import VerificationError
+
 __all__ = [
     "reduce_w",
     "mul_w",
@@ -164,7 +166,8 @@ def kernel_rank_details(n: int) -> HKernelReport:
     index = 2**s
     euler = euler_wn(n) * index
     rank = 1 + (n - 2) * 2 ** (s - 1)
-    assert rank == 1 - euler
+    if rank != 1 - euler:
+        raise VerificationError(f"rank {rank} differs from 1 - e(K) = {1 - euler}")
     return HKernelReport(rank=rank, s=s, index=index, euler=euler)
 
 

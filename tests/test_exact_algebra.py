@@ -1,23 +1,22 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hwgroups
 from hwgroups.exact_algebra import (
     F2Matrix,
     IntMatrix,
     IntPolynomial,
     binomial,
-    f2_rank,
-    f2_rank_kernel,
     f2_reduce,
     f2_rref,
-    poly_add,
-    poly_eval,
-    poly_mul,
     rational_rank,
     smith_normal_form,
     solve_rational,
@@ -84,9 +83,11 @@ def test_polynomial_str():
 
 def test_poly_helpers_agree_with_class():
     a, b = IntPolynomial((1, 2, 3)), IntPolynomial((0, -1))
-    assert poly_add(a, b) == a + b
-    assert poly_mul(a, b) == a * b
-    assert poly_eval(a, 5) == a(5)
+    assert (a + b).coeffs == (1, 1, 3)
+    assert (a * b).coeffs == (0, -1, -2, -3)
+    assert a(5) == 86
+    for v in (-2, 0, 3):
+        assert (a * b)(v) == a(v) * b(v)
 
 
 def _reference_rank(rows, n_cols):
@@ -123,27 +124,23 @@ def test_f2_rank_against_reference():
         assert m.rank() == _reference_rank(rows, n_cols)
 
 
-def test_f2_kernel_is_a_basis_of_the_nullspace():
-    rng = random.Random(29)
-    for _ in range(60):
-        n_rows = rng.randrange(1, 10)
-        n_cols = rng.randrange(1, 14)
-        m = F2Matrix(tuple(rng.getrandbits(n_cols) for _ in range(n_rows)), n_cols)
-        rank, kernel = m.rank_kernel()
-        assert rank == m.rank()
-        assert rank + len(kernel) == n_cols
-        for vec in kernel:
-            assert m.apply(vec) == 0
-        # independence: the kernel vectors have full rank as rows
-        assert F2Matrix(tuple(kernel), n_cols).rank() == len(kernel)
-
-
 def test_f2_module_level_wrappers():
-    m = F2Matrix.from_entries([[1, 0, 1], [0, 1, 1]])
-    assert f2_rank(m) == 2
-    rank, kernel = f2_rank_kernel(m)
-    assert rank == 2 and len(kernel) == 1
-    assert m.apply(kernel[0]) == 0
+    m = F2Matrix.from_entries([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    assert m.rank() == 2
+    pivots = f2_rref(m.rows)
+    assert len(pivots) == m.rank()
+    assert all(f2_reduce(row, pivots) == 0 for row in m.rows)
+
+
+def test_f2_backend_knob_is_gone():
+    env = dict(os.environ, HWGROUPS_F2_BACKEND="bogus")
+    src = os.path.dirname(os.path.dirname(hwgroups.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hwgroups; print(hwgroups.F2_BACKEND)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "pure"
 
 
 def test_f2_transpose_and_entry():

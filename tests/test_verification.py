@@ -1,0 +1,68 @@
+"""The paper checks raise VerificationError even under ``python -O``.
+
+Each case runs in a fresh ``python -O`` process, tampers one input of a
+check, and expects the check to fire.  pytest rewrites asserts in test
+files, so an in-process test could not show that ``-O`` leaves the
+checks in place.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hwgroups
+
+_PRELUDE = """
+import sys
+from fractions import Fraction
+from hwgroups import cli, cohomology_f2, cohomology_q, quotient_w
+from hwgroups.exact_algebra import F2Matrix, IntPolynomial, VerificationError
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+"""
+
+_CASES = {
+    # an elimination that overcounts makes ker d_2 negative
+    "negative_e3": ("F2Matrix.rank = lambda self: self.n_cols + 1",
+                    "cohomology_f2.spectral_tables(3)", "negative dimension"),
+    # an elimination that finds no pivots leaves columns p >= 3 nonzero
+    "e3_vanishing": ("F2Matrix.rank = lambda self: 0",
+                     "cohomology_f2.spectral_tables(3)", "fails to vanish"),
+    # integer scaling dropped: c * P returns P, so 2 * x^n turns odd
+    "q_integrality": ("IntPolynomial.__rmul__ = lambda self, c: self",
+                      "cohomology_q.poincare_q_closed(3)", "non-integral"),
+    "kernel_rank_euler": ("quotient_w.euler_wn = lambda n: Fraction(0)",
+                          "quotient_w.kernel_rank_details(4)", "differs from"),
+}
+
+
+def _run_optimized(body: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hwgroups.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", _PRELUDE + body],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_tampered_check_raises_under_O(case):
+    tamper, call, message = _CASES[case]
+    proc = _run_optimized(
+        f"{tamper}\ntry:\n    {call}\nexcept VerificationError as exc:\n"
+        f"    print('raised:', exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
+    assert message in proc.stdout
+
+
+def test_cli_exits_1_on_verification_error_under_O():
+    proc = _run_optimized(
+        f"{_CASES['kernel_rank_euler'][0]}\n"
+        "sys.exit(cli.main(['ranks', '--n', '4']))\n")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("verification failed: ")
