@@ -36,7 +36,6 @@ __all__ = [
     "d2",
     "D2Block",
     "d2_block",
-    "d2_matrix",
     "SpectralTables",
     "spectral_tables",
     "e3_dims",
@@ -168,10 +167,6 @@ def d2_block(n: int, p: int, q: int) -> D2Block:
         for target in d2(mono):
             rows[index[target]] |= 1 << c
     return D2Block(tuple(domain), tuple(codomain), F2Matrix(tuple(rows), len(domain)))
-
-
-def d2_matrix(n: int, p: int, q: int) -> F2Matrix:
-    return d2_block(n, p, q).matrix
 
 
 @dataclass(frozen=True)

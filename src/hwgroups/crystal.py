@@ -23,8 +23,6 @@ from .hw_group import GroupElement, ball, element_sort_key, identity
 
 __all__ = [
     "AffineIsometry",
-    "compose",
-    "inv",
     "gamma3_generators",
     "gamma_n_generator",
     "holonomy_order",
@@ -136,14 +134,6 @@ class AffineIsometry:
 
     def __matmul__(self, other: "AffineIsometry") -> "AffineIsometry":
         return self.compose(other)
-
-
-def compose(a: AffineIsometry, b: AffineIsometry) -> AffineIsometry:
-    return a.compose(b)
-
-
-def inv(g: AffineIsometry) -> AffineIsometry:
-    return g.inv()
 
 
 def _diag(signs: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:

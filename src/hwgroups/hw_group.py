@@ -203,7 +203,9 @@ def parse_element(s: str, n: int) -> GroupElement:
 
     The empty string is the identity.  Malformed atoms, zero exponents
     and out-of-range generator indices raise ElementSyntaxError carrying
-    the character offset of the offending atom.
+    the character offset of the offending atom.  An atom costs the same
+    whatever its exponent: x_i^e = x_i^(e mod 2) tau(floor(e/2) e_i),
+    because x_i fixes its own lattice coordinate.
     """
     out = identity(n)
     for match in re.finditer(r"\S+", s):
@@ -219,9 +221,13 @@ def parse_element(s: str, n: int) -> GroupElement:
                 f"generator index {index} out of range for rank {n}", pos)
         if exp == 0:
             raise ElementSyntaxError("exponent must be nonzero", pos)
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            out = append_letter(out, index, step)
+        half, odd = divmod(exp, 2)
+        if odd:
+            out = append_letter(out, index)
+        if half:
+            t = list(out.t)
+            t[index - 1] += half
+            out = GroupElement(out.w, tuple(t))
     return out
 
 

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hwgroups.cli import main
+from hwgroups import crystal, hw_group
+from hwgroups.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -229,3 +235,134 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli("poincare", "--n", "2")
     assert err.value.code == 2
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+_GOLDEN_HEADER = re.compile(r"=== exit (\d+)( with fake findings)?: (.*)")
+
+
+def _golden_cases():
+    cases = []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+        header = _GOLDEN_HEADER.fullmatch(line.rstrip("\n"))
+        if header:
+            code, fake, command = header.groups()
+            cases.append([shlex.split(command), int(code), bool(fake), ""])
+        elif cases:
+            cases[-1][3] += line
+    return [pytest.param(*case, id=" ".join(case[0]) + (" fake" if case[2] else ""))
+            for case in cases]
+
+
+def _set_files(tmp_path):
+    (tmp_path / "x.txt").write_text("# x\nx1\nx2 x1\n")
+    (tmp_path / "y.txt").write_text("x1\nx1^-1\n\nx2\n")
+    (tmp_path / "empty.txt").write_text("# nothing\n")
+    return {name: str(tmp_path / f"{name}.txt")
+            for name in ("x", "y", "missing", "empty")}
+
+
+def _fake_findings(monkeypatch):
+    g = hw_group.parse_element("x1 x2", 2)
+    h = hw_group.parse_element("x2^3", 2)
+    monkeypatch.setattr(hw_group, "torsion_probe", lambda *args: [(g, 4)])
+    monkeypatch.setattr(hw_group, "center_probe", lambda *args: [g])
+    monkeypatch.setattr(crystal, "fixed_point_probe",
+                        lambda *args: [(g, (Fraction(1, 2), Fraction(-3)))])
+    monkeypatch.setattr(crystal, "injectivity_probe", lambda *args: [(g, h)])
+
+
+@pytest.mark.parametrize("argv, code, fake, stdout", _golden_cases())
+def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
+    # Stdout and exit code of every subcommand in every format, byte for byte.
+    files = _set_files(tmp_path)
+    if fake:
+        _fake_findings(monkeypatch)
+    got_code, got_out, _ = run_cli(*(arg.format(**files) for arg in argv))
+    assert (got_code, got_out) == (code, stdout)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("poincare", "--n", "13", "--field", "f2", "--method", "spectral"),
+     "n=13 exceeds the spectral/subset-sum bound 12 (pass --unsafe-large to force)"),
+    (("poincare", "--n", "21", "--field", "q", "--method", "closed"),
+     "n=21 exceeds the closed-form bound 20 (pass --unsafe-large to force)"),
+    (("mod2-check", "--n", "3"), "mod-2 congruence is only claimed for even n"),
+    (("up-check", "--n", "2", "{x}", "{empty}"),
+     "set files must contain at least one element each"),
+])
+def test_refusals_name_their_bound(argv, message, tmp_path):
+    files = _set_files(tmp_path)
+    code, out, err = run_cli(*(arg.format(**files) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.removeprefix("error: ") == message + "\n"
+
+
+N = ("--n", None, None, True)
+FORMAT = ("--format", ("text", "json"), "text", False)
+RADIUS = ("--radius", None, None, True)
+BUDGET = ("--budget", None, 10**6, False)
+WORD = ("word", None, None, True)
+
+# Per subcommand: the --n minimum, then each argument in order as
+# (option string or positional name, choices, default, required).
+PARSER_PINS = {
+    "nf": (0, [N, WORD, FORMAT]),
+    "mul": (0, [N, ("left", None, None, True), ("right", None, None, True), FORMAT]),
+    "inv": (0, [N, WORD, FORMAT]),
+    "poincare": (0, [N, ("--field", ("f2", "q"), None, True),
+                     ("--method", ("spectral", "closed", "both"), "both", False),
+                     ("--unsafe-large", None, False, False), FORMAT]),
+    "e3-table": (0, [N, ("--format", ("csv", "json"), "csv", False)]),
+    "en-basis": (0, [N, FORMAT]),
+    "abelianization": (1, [N, FORMAT]),
+    "ranks": (2, [N, FORMAT]),
+    "gamma3-verify": (None, [FORMAT]),
+    "action": (0, [N, WORD, ("--vector", None, None, True), FORMAT]),
+    "probe torsion": (1, [N, RADIUS, ("--kmax", None, None, True), BUDGET, FORMAT]),
+    "probe center": (2, [N, RADIUS, BUDGET, FORMAT]),
+    "probe fixed-point": (2, [N, RADIUS, BUDGET, FORMAT]),
+    "probe injectivity": (None, [RADIUS, BUDGET, FORMAT]),
+    "up-check": (1, [N, ("x_file", None, None, True), ("y_file", None, None, True),
+                     FORMAT]),
+    "mod2-check": (0, [N, FORMAT]),
+}
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _commands():
+    out = {}
+    for name, parser in _subparsers(build_parser()).items():
+        kinds = _subparsers(parser)
+        for kind, sub in kinds.items():
+            out[f"{name} {kind}"] = sub
+        if not kinds:
+            out[name] = parser
+    return out
+
+
+def test_parser_has_exactly_the_pinned_commands():
+    assert sorted(_commands()) == sorted(PARSER_PINS)
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_PINS))
+def test_help_and_options(command):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        main([*command.split(), "--help"])
+    assert exit_.value.code == 0
+    assert out.getvalue().startswith(f"usage: hwgroups {command} [-h]")
+    parser = _commands()[command]
+    arguments = [
+        (action.option_strings[0] if action.option_strings else action.dest,
+         tuple(action.choices) if action.choices else None,
+         action.default, action.required)
+        for action in parser._actions if action.dest != "help"
+    ]
+    assert (parser.get_default("n_min"), arguments) == PARSER_PINS[command]

@@ -140,6 +140,32 @@ def test_parse_errors_carry_positions():
         parse_element("x", 2)
 
 
+def _parse_by_letters(atoms, n):
+    # Reference: one append_letter per unit of each exponent.
+    out = identity(n)
+    for i, e in atoms:
+        for _ in range(abs(e)):
+            out = append_letter(out, i, 1 if e > 0 else -1)
+    return out
+
+
+def test_parse_exponents_agree_with_the_letter_fold():
+    rng = random.Random(20211)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        atoms = [(rng.randint(1, n), rng.choice((-1, 1)) * rng.randint(1, 9))
+                 for _ in range(rng.randint(0, 8))]
+        text = " ".join(f"x{i}" if e == 1 and rng.random() < 0.5 else f"x{i}^{e}"
+                        for i, e in atoms)
+        assert parse_element(text, n) == _parse_by_letters(atoms, n), text
+
+
+def test_parse_huge_exponent_in_closed_form():
+    assert parse_element(f"x1^{10**8}", 2) == lattice_element((50000000, 0))
+    g = parse_element(f"x2^{-(10**8) - 1}", 2)
+    assert g == GroupElement((2,), (0, -50000001))
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         GroupElement((0,), (0, 0))
