@@ -11,21 +11,20 @@ extended as a derivation in characteristic 2 with d_2(z_i) = 0:
 
 All page dimensions are exact F_2 ranks of these block matrices.  The
 third page is final and vanishes in columns p > 2; columns 3 and 4 are
-materialized and asserted zero, with the z-linearity of d_2 as the
-periodicity witness for higher columns.
+materialized and checked to vanish (a VerificationError otherwise), with
+the z-linearity of d_2 as the periodicity witness for higher columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .exact_algebra import (
     F2Matrix,
     IntPolynomial,
     VerificationError,
-    binomial,
     f2_reduce,
     f2_rref,
 )
@@ -95,10 +94,6 @@ class E2Monomial:
     @property
     def bidegree(self) -> Tuple[int, int]:
         return (self.z_power, self.g_mask.bit_count())
-
-    @property
-    def g_set(self) -> FrozenSet[int]:
-        return _mask_to_set(self.g_mask)
 
     def sort_key(self) -> Tuple[int, int, int]:
         return (self.z_power, self.z_index, self.g_mask)
@@ -311,25 +306,21 @@ class EnAlgebra:
         self.n = n
         self.unit = EnBasisElement(0, 0, 0)
         self._grade1: List[EnBasisElement] = []
-        for q in range(n + 1):
-            for i in range(1, n + 1):
-                for mask in _masks_of_size(n, q):
-                    if not (mask >> (i - 1)) & 1:
-                        self._grade1.append(EnBasisElement(1, i, mask))
         self._monos: Dict[int, List[Tuple[int, int]]] = {}
         self._mono_index: Dict[int, Dict[Tuple[int, int], int]] = {}
         self._pivots: Dict[int, Dict[int, int]] = {}
         self._reps: Dict[int, List[EnBasisElement]] = {}
+        by_size = [_masks_of_size(n, q) for q in range(n + 2)]
         for q in range(n + 1):
             monos = [
                 (i, mask)
                 for i in range(1, n + 1)
-                for mask in _masks_of_size(n, q)
+                for mask in by_size[q]
                 if not (mask >> (i - 1)) & 1
             ]
             index = {im: k for k, im in enumerate(monos)}
             relations = []
-            for big in _masks_of_size(n, q + 1):
+            for big in by_size[q + 1]:
                 row = 0
                 mask = big
                 while mask:
@@ -339,6 +330,7 @@ class EnAlgebra:
                     mask ^= low
                 relations.append(row)
             pivots = f2_rref(relations)
+            self._grade1.extend(EnBasisElement(1, i, mask) for i, mask in monos)
             self._monos[q] = monos
             self._mono_index[q] = index
             self._pivots[q] = pivots
@@ -396,16 +388,19 @@ class EnAlgebra:
     ) -> Combination:
         """Bilinear product of characteristic-2 combinations."""
         acc: set = set()
-        for a in _as_combination(u):
-            for b in _as_combination(v):
+        right = self._terms(v)
+        for a in self._terms(u):
+            for b in right:
                 acc ^= self._term_product(a, b)
         return frozenset(acc)
 
-
-def _as_combination(u: Union[EnBasisElement, Iterable[EnBasisElement]]) -> Combination:
-    if isinstance(u, EnBasisElement):
-        return frozenset({u})
-    return frozenset(u)
+    def _terms(self, u: Union[EnBasisElement, Iterable[EnBasisElement]]) -> Combination:
+        """u as a set of terms, each checked to use only symbols of rank n."""
+        terms = frozenset({u}) if isinstance(u, EnBasisElement) else frozenset(u)
+        for t in terms:
+            if t.z_index > self.n or t.g_mask >> self.n:
+                raise ValueError(f"{t} is not an element of the algebra for n={self.n}")
+        return terms
 
 
 @lru_cache(maxsize=None)

@@ -68,10 +68,7 @@ class AffineIsometry:
 
     @classmethod
     def identity(cls, n: int) -> "AffineIsometry":
-        return cls(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            (Fraction(0),) * n,
-        )
+        return cls.translation_by((0,) * n)
 
     @classmethod
     def translation_by(cls, vec: Sequence) -> "AffineIsometry":
@@ -168,20 +165,15 @@ def gamma_n_generator(n: int, i: int) -> AffineIsometry:
 
 def holonomy_order(n: int) -> int:
     """Order of the group generated by the linear parts of the gamma_i."""
-    gens = [gamma_n_generator(n, i).linear for i in range(1, n)]
-    seen = {AffineIsometry.identity(n).linear}
+    zero = (0,) * n
+    gens = [AffineIsometry(gamma_n_generator(n, i).linear, zero) for i in range(1, n)]
+    seen = {AffineIsometry.identity(n)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for mat in frontier:
+        for g in frontier:
             for gen in gens:
-                prod = tuple(
-                    tuple(
-                        sum(mat[i][k] * gen[k][j] for k in range(n))
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
+                prod = g @ gen
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

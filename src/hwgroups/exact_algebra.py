@@ -1,8 +1,8 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, F_2 matrices with rank and rref, Smith normal
-form over Z, binomials and exact rationals.  Everything here is pure and
-allocation-cheap; no floating point is used anywhere.
+Integer polynomials, F_2 ranks and echelon bases, Smith normal form
+over Z, binomials, and exact linear algebra over Q.  Everything here is
+pure and allocation-cheap; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = [
-    "Rational",
     "IntPolynomial",
     "F2Matrix",
     "f2_rref",
@@ -25,9 +24,6 @@ __all__ = [
     "solve_rational",
     "VerificationError",
 ]
-
-Rational = Fraction
-
 
 class VerificationError(AssertionError):
     """A mathematical identity the package checks at run time failed.
@@ -219,39 +215,28 @@ class F2Matrix:
         return F2Matrix(tuple(cols), self.n_rows)
 
     def rank(self) -> int:
-        """Rank by elimination on packed rows, pivoting on the highest set bit."""
-        pivots: dict[int, int] = {}
-        rank = 0
-        for row in self.rows:
-            while row:
-                lead = row.bit_length() - 1
-                piv = pivots.get(lead)
-                if piv is None:
-                    pivots[lead] = row
-                    rank += 1
-                    break
-                row ^= piv
-        return rank
+        """Rank over F_2: the number of pivots of the echelon basis."""
+        return len(f2_rref(self.rows))
 
 
 def f2_rref(rows: Iterable[int]) -> dict:
-    """Fully reduced row echelon form with highest-bit pivoting.
+    """Echelon basis of the span of rows: a map lead column -> pivot row.
 
-    Returns a map lead-column -> pivot row in which every pivot row has
-    zero entries in all other pivot columns, so reduction against it is
-    a canonical projection onto the non-pivot coordinates.
+    Pivots sit on the highest set bit and are not back-substituted.
+    Reduction against the map is still canonical: the leads are distinct,
+    so each nonzero vector of the row space has its lead among them, and
+    ``f2_reduce`` returns the unique vector of its coset whose support
+    avoids every lead.
     """
     pivots: dict = {}
     for row in rows:
-        row = f2_reduce(row, pivots)
-        if not row:
-            continue
-        lead = row.bit_length() - 1
-        mask = 1 << lead
-        for l2, r2 in list(pivots.items()):
-            if r2 & mask:
-                pivots[l2] = r2 ^ row
-        pivots[lead] = row
+        while row:
+            lead = row.bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            row ^= piv
     return pivots
 
 
@@ -303,13 +288,11 @@ def smith_normal_form(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> Tuple[int
     division leaves a remainder or a non-divisible entry is folded in;
     the pivot's absolute value strictly decreases, so this terminates.
     """
-    entries = m.entries if isinstance(m, IntMatrix) else m
-    mat = [[int(v) for v in row] for row in entries]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    for row in mat:
-        if len(row) != n_cols:
-            raise ValueError("matrix rows have unequal lengths")
+    if not isinstance(m, IntMatrix):
+        m = IntMatrix(m)
+    mat = [list(row) for row in m.entries]
+    n_rows = m.n_rows
+    n_cols = m.n_cols
     size = min(n_rows, n_cols)
     t = 0
     while t < size:
@@ -371,50 +354,8 @@ def _non_divisible_row(mat: List[List[int]], t: int, p: int, n_rows: int, n_cols
     return None
 
 
-def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank of a matrix over Q by exact Gaussian elimination."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    n_cols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < n_cols:
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            factor = work[i][col] / pivot
-            if factor:
-                for j in range(col, n_cols):
-                    work[i][j] -= factor * work[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
-def solve_rational(
-    rows: Sequence[Sequence[Union[int, Fraction]]],
-    rhs: Sequence[Union[int, Fraction]],
-) -> List[Fraction] | None:
-    """One exact solution of A v = b, or None when inconsistent.
-
-    Underdetermined systems get free variables set to zero, so the
-    returned witness is deterministic.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match the row count")
-    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not work:
-        return []
-    n_cols = len(rows[0])
+def _gauss_jordan(work: List[List[Fraction]], n_cols: int) -> List[int]:
+    """Reduce the first n_cols columns of work in place; return the pivot columns."""
     pivot_cols: List[int] = []
     rank = 0
     for col in range(n_cols):
@@ -434,9 +375,35 @@ def solve_rational(
                 work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
         pivot_cols.append(col)
         rank += 1
-    for i in range(rank, len(work)):
-        if work[i][n_cols]:
-            return None
+    return pivot_cols
+
+
+def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Rank of a matrix over Q by exact Gaussian elimination."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    if not work:
+        return 0
+    return len(_gauss_jordan(work, len(work[0])))
+
+
+def solve_rational(
+    rows: Sequence[Sequence[Union[int, Fraction]]],
+    rhs: Sequence[Union[int, Fraction]],
+) -> List[Fraction] | None:
+    """One exact solution of A v = b, or None when inconsistent.
+
+    Underdetermined systems get free variables set to zero, so the
+    returned witness is deterministic.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length must match the row count")
+    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    if not work:
+        return []
+    n_cols = len(rows[0])
+    pivot_cols = _gauss_jordan(work, n_cols)
+    if any(row[n_cols] for row in work[len(pivot_cols):]):
+        return None
     solution = [Fraction(0)] * n_cols
     for k, col in enumerate(pivot_cols):
         solution[col] = work[k][n_cols]

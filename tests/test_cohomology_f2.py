@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hwgroups.exact_algebra import IntPolynomial
 from hwgroups.cohomology_f2 import (
     E2Monomial,
+    EnAlgebra,
     EnBasisElement,
     d2,
     d2_block,
@@ -160,6 +162,42 @@ def test_en_product_is_commutative():
         for a in basis:
             for b in basis:
                 assert en_multiply(n, a, b) == en_multiply(n, b, a)
+
+
+def test_en_multiply_rejects_symbols_outside_rank_n():
+    cases = [
+        (EnBasisElement(1, 3, 0), EnBasisElement(1, 3, 0b001)),
+        (EnBasisElement(1, 1, 0b100), EnBasisElement(1, 1, 0b010)),
+    ]
+    for a, b in cases:
+        for u, v in ((a, b), (b, a), ([a], EnBasisElement(0, 0, 0))):
+            with pytest.raises(ValueError, match="n=2"):
+                en_multiply(2, u, v)
+
+
+# SHA-256 of the en_basis text followed by the class of every grade-2
+# monomial z_i^2 g_mask (i outside mask), one line each; recorded from the
+# fully back-substituted elimination, so any change of representatives shows.
+EN_DIGESTS = {
+    3: "14b4c70fa62a3a039b9f33a4da87bb5843830c7c485ab057adab6234f83875e1",
+    4: "8772f3e96ec4b214213c8615c58096d931000f86600bad61d237c269430334ef",
+    5: "0f3c0db3d3118d0bbd765c5a187f272da1a4ead3b0eb2a8aedf59f9774f2bb6c",
+    6: "6f36bb5fd1612293589623d8b6134c64aa0176ffb472a661c7a345e4fe163023",
+    7: "ddf90e5a80e9be448284919990844a68dfb93203bdabcd483e68e28928be6d90",
+    8: "16b0c3a98aab1de8d9627ac0033db72ee1475e167811f89a6394590e6df39423",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EN_DIGESTS))
+def test_en_basis_and_grade2_classes_are_pinned(n):
+    algebra = EnAlgebra(n)
+    lines = [str(e) for e in en_basis(n)]
+    for i in range(1, n + 1):
+        for mask in range(1 << n):
+            if not mask >> (i - 1) & 1:
+                cls = algebra.reduce_grade2(i, mask)
+                lines.append(f"z{i}^2 g{mask}: " + " + ".join(sorted(map(str, cls))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EN_DIGESTS[n]
 
 
 def test_en_element_validation():

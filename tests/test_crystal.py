@@ -103,6 +103,7 @@ def test_gamma_n_generator_squares_translate():
 def test_holonomy_orders():
     assert holonomy_order(3) == 4
     assert holonomy_order(5) == 16
+    assert holonomy_order(7) == 64
 
 
 def test_g2_isometry_is_a_homomorphism():

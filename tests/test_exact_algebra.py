@@ -166,6 +166,52 @@ def test_f2_rref_reduction():
         f2_reduce(a, pivots) ^ f2_reduce(b, pivots), pivots)
 
 
+def _reference_reduced_basis(rows, n_cols):
+    """Gauss-Jordan over GF(2), columns from the highest down: lead -> row,
+    every pivot row zero in all other pivot columns."""
+    grid = list(rows)
+    basis = {}
+    for col in reversed(range(n_cols)):
+        bit = 1 << col
+        pivot = next((r for r in grid if r & bit), None)
+        if pivot is None:
+            continue
+        grid.remove(pivot)
+        grid = [r ^ pivot if r & bit else r for r in grid]
+        basis = {lead: r ^ pivot if r & bit else r for lead, r in basis.items()}
+        basis[col] = pivot
+    return basis
+
+
+def test_f2_echelon_basis_against_fully_reduced_reference():
+    rng = random.Random(41)
+    for trial in range(1200):
+        n_cols = rng.randrange(1, 41)
+        if trial % 2:
+            rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(0, 16))]
+        else:
+            # rank-deficient: sums of a few random generators
+            gens = [rng.getrandbits(n_cols) for _ in range(rng.randrange(1, 6))]
+            rows = [0] * rng.randrange(0, 16)
+            for k in range(len(rows)):
+                for g in gens:
+                    if rng.getrandbits(1):
+                        rows[k] ^= g
+        reference = _reference_reduced_basis(rows, n_cols)
+        for lead, row in reference.items():
+            assert row.bit_length() - 1 == lead
+            assert all(not (row >> other) & 1 for other in reference if other != lead)
+        echelon = f2_rref(rows)
+        assert set(echelon) == set(reference)
+        assert len(echelon) == _reference_rank(rows, n_cols)
+        assert F2Matrix(tuple(rows), n_cols).rank() == len(reference)
+        for row in rows:
+            assert f2_reduce(row, echelon) == 0
+        for _ in range(4):
+            vec = rng.getrandbits(n_cols)
+            assert f2_reduce(vec, echelon) == f2_reduce(vec, reference)
+
+
 def test_smith_normal_form_hand_cases():
     # gcd of entries is 2 and the determinant is 4, so the invariant
     # factors are (2, 2)
@@ -242,6 +288,34 @@ def test_solve_rational_random_consistent_systems():
             assert sum(c * v for c, v in zip(r, x)) == rhs
 
 
+def test_solve_rational_is_none_exactly_when_rhs_raises_the_rank():
+    rng = random.Random(43)
+    for _ in range(300):
+        m = rng.randrange(1, 6)
+        n = rng.randrange(1, 6)
+        r = rng.randrange(0, min(m, n))
+        # A = B C with inner dimension r < min(m, n), so A is rank-deficient
+        b_mat = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(m)]
+        c_mat = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(r)]
+        a = [[sum(b_mat[i][k] * c_mat[k][j] for k in range(r)) for j in range(n)]
+             for i in range(m)]
+        if rng.getrandbits(1):
+            x0 = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
+            rhs = [sum(row[j] * x0[j] for j in range(n)) for row in a]
+        else:
+            rhs = [Fraction(rng.randrange(-4, 5)) for _ in range(m)]
+        assert rational_rank(a) < min(m, n)
+        augmented = [row + [v] for row, v in zip(a, rhs)]
+        x = solve_rational(a, rhs)
+        assert (x is None) == (rational_rank(a) < rational_rank(augmented))
+        if x is not None:
+            for row, v in zip(a, rhs):
+                assert sum(c * xv for c, xv in zip(row, x)) == v
+
+
 def test_int_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="unequal lengths"):
+        smith_normal_form([[1, 2], [3]])
+    assert smith_normal_form([[2, 4], [0, 2]]) == smith_normal_form(IntMatrix(((2, 4), (0, 2))))
