@@ -14,7 +14,7 @@ Headline entry points are re-exported here; the modules hold the rest:
   closed form, and the bigraded ring presentation.
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
-- ``crystal``: the affine isometry model and geometric probes.
+- ``crystal``: signed-diagonal affine isometries and geometric probes.
 - ``exact_algebra``: polynomials, GF(2) matrices, Smith normal form.
 - ``cli``: the ``hwgroups`` command-line tool.
 """

@@ -154,6 +154,11 @@ def _parse_vector(text: str, n: int) -> List[Fraction]:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != n:
         raise ValueError(f"vector needs {n} comma-separated entries")
+    for p in parts:
+        # Fraction("1e50000000") would expand 10**50000000 digit by digit.
+        if "e" in p.lower():
+            raise ValueError(f"bad vector entry {p[:20]!r}: exponent notation "
+                             "is not accepted; write p/q")
     try:
         return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,6 +1,13 @@
-"""Exact crystallographic models: affine isometries over the rationals,
-the three-dimensional group generated by the printed matrices A and B,
-its odd-dimensional relatives, and freeness/injectivity probes.
+"""Exact crystallographic models: signed-diagonal affine isometries
+over the rationals, the three-dimensional group generated by the
+printed matrices A and B, its odd-dimensional relatives, and
+freeness/injectivity probes.
+
+Every isometry built here has a diagonal linear part with entries +-1:
+the holonomy of A and B is diagonal, and so are the gamma_n generators
+and the letters of the coordinate action.  An isometry is therefore
+stored as a sign vector and a translation, and composition, inversion,
+evaluation and fixed-point solving are all coordinatewise.
 
 G_2 maps onto the classical three-dimensional group via x1 -> A,
 x2 -> B; the squares A^2, B^2 are the unit translations e_1, e_2, so
@@ -18,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_algebra import solve_rational
-from .hw_group import GroupElement, ball, element_sort_key, identity
+from .hw_group import DEFAULT_BALL_BUDGET, GroupElement, ball, element_sort_key, identity
 
 __all__ = [
     "AffineIsometry",
@@ -39,31 +45,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """Pair (L, t): v maps to L v + t, with L orthogonal over {-1,0,1}.
+    """Signed-diagonal affine isometry: v maps to S v + t, where S is
+    the diagonal matrix with the entries of ``signs``, each +1 or -1.
 
-    Orthogonality is asserted on construction, so every value in
-    circulation is a genuine isometry.
+    A +-1 diagonal is orthogonal, so every value in circulation is a
+    genuine isometry; construction checks the signs and the lengths.
     """
 
-    linear: Tuple[Tuple[int, ...], ...]
+    signs: Tuple[int, ...]
     translation: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        linear = tuple(tuple(int(v) for v in row) for row in self.linear)
+        signs = tuple(self.signs)
+        if any(s not in (1, -1) for s in signs):
+            raise ValueError("signs must each be +1 or -1")
+        signs = tuple(int(s) for s in signs)
         translation = tuple(Fraction(v) for v in self.translation)
-        n = len(translation)
-        if len(linear) != n or any(len(row) != n for row in linear):
-            raise ValueError("linear part must be square of matching size")
-        for row in linear:
-            for v in row:
-                if v not in (-1, 0, 1):
-                    raise ValueError("linear entries must be in {-1,0,1}")
-        for i in range(n):
-            for j in range(n):
-                dot = sum(linear[i][k] * linear[j][k] for k in range(n))
-                if dot != (1 if i == j else 0):
-                    raise ValueError("linear part is not orthogonal")
-        object.__setattr__(self, "linear", linear)
+        if len(signs) != len(translation):
+            raise ValueError("signs and translation must have matching length")
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "translation", translation)
 
     @classmethod
@@ -72,79 +72,45 @@ class AffineIsometry:
 
     @classmethod
     def translation_by(cls, vec: Sequence) -> "AffineIsometry":
-        n = len(vec)
-        return cls(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            tuple(Fraction(v) for v in vec),
-        )
+        return cls((1,) * len(vec), vec)
 
     @property
     def dim(self) -> int:
         return len(self.translation)
 
     def is_identity(self) -> bool:
-        return self == AffineIsometry.identity(self.dim)
+        return all(s == 1 for s in self.signs) and not any(self.translation)
 
     def apply(self, v: Sequence) -> Tuple[Fraction, ...]:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        vec = [Fraction(u) for u in v]
-        return tuple(
-            sum((row[k] * vec[k] for k in range(self.dim)), Fraction(0)) + t
-            for row, t in zip(self.linear, self.translation)
-        )
+        return tuple(s * Fraction(u) + t
+                     for s, u, t in zip(self.signs, v, self.translation))
 
     def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        """(A,a) after (B,b): v maps to A(Bv + b) + a = ABv + (Ab + a)."""
+        """(S,a) after (T,b): v maps to S(Tv + b) + a = STv + (Sb + a)."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        product = tuple(
-            tuple(
-                sum(self.linear[i][k] * other.linear[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
+        return AffineIsometry(
+            tuple(s * u for s, u in zip(self.signs, other.signs)),
+            tuple(s * b + a for s, b, a
+                  in zip(self.signs, other.translation, self.translation)),
         )
-        shift = tuple(
-            sum(
-                (self.linear[i][k] * other.translation[k] for k in range(n)),
-                Fraction(0),
-            )
-            + self.translation[i]
-            for i in range(n)
-        )
-        return AffineIsometry(product, shift)
 
     def inv(self) -> "AffineIsometry":
-        """Inverse (L^T, -L^T t) using orthogonality of the linear part."""
-        n = self.dim
-        transpose = tuple(
-            tuple(self.linear[j][i] for j in range(n)) for i in range(n)
-        )
-        shift = tuple(
-            -sum((transpose[i][k] * self.translation[k] for k in range(n)),
-                 Fraction(0))
-            for i in range(n)
-        )
-        return AffineIsometry(transpose, shift)
+        """Inverse (S, -S t), since S is its own inverse."""
+        return AffineIsometry(
+            self.signs, tuple(-s * t for s, t in zip(self.signs, self.translation)))
 
     def __matmul__(self, other: "AffineIsometry") -> "AffineIsometry":
         return self.compose(other)
 
 
-def _diag(signs: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    n = len(signs)
-    return tuple(
-        tuple(signs[i] if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def gamma3_generators() -> Tuple[AffineIsometry, AffineIsometry]:
     """The printed three-dimensional generators A and B."""
     half = Fraction(1, 2)
-    a = AffineIsometry(_diag((1, -1, -1)), (half, half, Fraction(0)))
-    b = AffineIsometry(_diag((-1, 1, -1)), (Fraction(0), half, half))
+    a = AffineIsometry((1, -1, -1), (half, half, Fraction(0)))
+    b = AffineIsometry((-1, 1, -1), (Fraction(0), half, half))
     return a, b
 
 
@@ -160,13 +126,13 @@ def gamma_n_generator(n: int, i: int) -> AffineIsometry:
     shift = tuple(
         half if k in (i - 1, i) else Fraction(0) for k in range(n)
     )
-    return AffineIsometry(_diag(signs), shift)
+    return AffineIsometry(signs, shift)
 
 
 def holonomy_order(n: int) -> int:
     """Order of the group generated by the linear parts of the gamma_i."""
     zero = (0,) * n
-    gens = [AffineIsometry(gamma_n_generator(n, i).linear, zero) for i in range(1, n)]
+    gens = [AffineIsometry(gamma_n_generator(n, i).signs, zero) for i in range(1, n)]
     seen = {AffineIsometry.identity(n)}
     frontier = list(seen)
     while frontier:
@@ -235,7 +201,7 @@ def rn_isometry(g: GroupElement) -> AffineIsometry:
     for letter in g.w:
         signs = tuple(1 if k == letter - 1 else -1 for k in range(n))
         shift = tuple(half if k == letter - 1 else Fraction(0) for k in range(n))
-        out = out @ AffineIsometry(_diag(signs), shift)
+        out = out @ AffineIsometry(signs, shift)
     return out @ AffineIsometry.translation_by(g.t)
 
 
@@ -249,23 +215,23 @@ def rn_action(g: GroupElement, v: Sequence) -> Tuple[Fraction, ...]:
 def fixed_points(iso: AffineIsometry) -> Optional[Tuple[Fraction, ...]]:
     """A fixed point of the isometry, or None when none exists.
 
-    Solves (L - I) v = -t exactly; an inconsistent system means the
-    isometry is fixed-point free.
+    Solves (S - I) v = -t one coordinate at a time: a sign -1 gives
+    v_k = t_k / 2, and a sign +1 is consistent only when t_k = 0, where
+    the free coordinate is set to 0.
     """
-    n = iso.dim
-    rows = [
-        [Fraction(iso.linear[i][j] - (1 if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [-t for t in iso.translation]
-    solution = solve_rational(rows, rhs)
-    if solution is None:
-        return None
-    return tuple(solution)
+    point = []
+    for s, t in zip(iso.signs, iso.translation):
+        if s == -1:
+            point.append(t / 2)
+        elif t:
+            return None
+        else:
+            point.append(Fraction(0))
+    return tuple(point)
 
 
 def fixed_point_probe(
-    n: int, r: int, budget: int = 10**6
+    n: int, r: int, budget: int = DEFAULT_BALL_BUDGET
 ) -> List[Tuple[GroupElement, Tuple[Fraction, ...]]]:
     """Search the ball of radius r for elements fixing a point of the
     crystallographic model.
@@ -291,7 +257,7 @@ def fixed_point_probe(
 
 
 def injectivity_probe(
-    r: int, budget: int = 10**6
+    r: int, budget: int = DEFAULT_BALL_BUDGET
 ) -> List[Tuple[GroupElement, GroupElement]]:
     """Collisions of the normal-form evaluation map on the rank-2 ball.
 

@@ -11,6 +11,7 @@ reduce to folds of append_letter.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -214,8 +215,13 @@ def parse_element(s: str, n: int) -> GroupElement:
         parsed = _ATOM.match(atom)
         if parsed is None:
             raise ElementSyntaxError(f"bad atom {atom!r}", pos)
-        index = int(parsed.group(1))
-        exp = int(parsed.group(2)) if parsed.group(2) is not None else 1
+        try:
+            index = int(parsed.group(1))
+            exp = int(parsed.group(2)) if parsed.group(2) is not None else 1
+        except ValueError:  # more digits than int() will convert
+            raise ElementSyntaxError(
+                f"number in atom longer than {sys.get_int_max_str_digits()} digits",
+                pos) from None
         if not 1 <= index <= n:
             raise ElementSyntaxError(
                 f"generator index {index} out of range for rank {n}", pos)

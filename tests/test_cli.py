@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -167,6 +168,26 @@ def test_action_command():
     assert code == 2 and "entries" in err
     code, _, err = run_cli("action", "--n", "2", "x1", "--vector", "a,b")
     assert code == 2
+
+
+def test_action_refuses_exponent_notation_at_once():
+    # Fraction("1e50000000") would build a 50-million-digit integer.
+    for entry in ("1e50000000", "1E5"):
+        start = time.perf_counter()
+        code, out, err = run_cli("action", "--n", "1", "x1", "--vector", entry)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad vector entry '{entry}'")
+
+
+def test_over_long_numbers_are_parse_errors():
+    digits = "9" * 5000
+    for word in (f"x1 x1^{digits}", f"x1 x{digits}"):
+        start = time.perf_counter()
+        code, out, err = run_cli("nf", "--n", "2", word)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and "(at position 3)" in err
 
 
 def test_probe_commands_find_nothing():

@@ -18,7 +18,9 @@ from hwgroups.crystal import (
     rn_isometry,
     verify_hom_g2_gamma3,
 )
+from hwgroups.exact_algebra import solve_rational
 from hwgroups.hw_group import (
+    GroupElement,
     generator,
     identity,
     inverse,
@@ -34,28 +36,26 @@ def _frac(v):
 
 def test_affine_isometry_validation():
     with pytest.raises(ValueError):
-        AffineIsometry(((1, 1), (0, 1)), _frac((0, 0)))
+        AffineIsometry((1, 0), _frac((0, 0)))
     with pytest.raises(ValueError):
-        AffineIsometry(((2, 0), (0, 1)), _frac((0, 0)))
+        AffineIsometry((2, 1), _frac((0, 0)))
     with pytest.raises(ValueError):
-        AffineIsometry(((1, 0),), _frac((0, 0)))
+        AffineIsometry((1, Fraction(-1, 2)), _frac((0, 0)))
+    with pytest.raises(ValueError):
+        AffineIsometry((1,), _frac((0, 0)))
+    assert AffineIsometry.identity(0).is_identity()
 
 
 def test_affine_isometry_group_laws():
     rng = random.Random(71)
 
     def random_isometry(n):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        linear = tuple(
-            tuple((1 if rng.random() < 0.5 else -1) if j == perm[i] else 0
-                  for j in range(n))
-            for i in range(n))
+        signs = tuple(rng.choice((1, -1)) for _ in range(n))
         trans = tuple(Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
                       for _ in range(n))
-        return AffineIsometry(linear, trans)
+        return AffineIsometry(signs, trans)
 
-    for n in (2, 3):
+    for n in (1, 2, 3, 5):
         e = AffineIsometry.identity(n)
         for _ in range(80):
             a, b, c = (random_isometry(n) for _ in range(3))
@@ -83,7 +83,7 @@ def test_gamma3_relators_and_squares():
     assert report.relator_yx.is_identity()
     assert (a @ a).translation == _frac((1, 0, 0))
     assert (b @ b).translation == _frac((0, 1, 0))
-    assert (a @ a).linear == AffineIsometry.identity(3).linear
+    assert (a @ a).signs == (1, 1, 1)
 
 
 def test_gamma_n_generator_squares_translate():
@@ -91,7 +91,7 @@ def test_gamma_n_generator_squares_translate():
         for i in range(1, n):
             gen = gamma_n_generator(n, i)
             square = gen @ gen
-            assert square.linear == AffineIsometry.identity(n).linear
+            assert square.signs == (1,) * n
             assert square.translation == _frac(
                 [1 if k == i - 1 else 0 for k in range(n)])
     with pytest.raises(ValueError):
@@ -132,10 +132,10 @@ def test_injectivity_probe_clean():
 def test_rn_isometry_letter_action():
     iso = rn_isometry(generator(2, 1))
     assert iso.apply(_frac((0, 0))) == (Fraction(1, 2), Fraction(0))
-    assert iso.linear == ((1, 0), (0, -1))
+    assert iso.signs == (1, -1)
     # lattice elements act by integer translations
     tau = rn_isometry(lattice_element((2, -1)))
-    assert tau.linear == AffineIsometry.identity(2).linear
+    assert tau.signs == (1, 1)
     assert tau.translation == _frac((2, -1))
 
 
@@ -172,6 +172,54 @@ def test_fixed_points_solver():
     assert fixed_points(AffineIsometry.translation_by(_frac((1, 0)))) is None
     origin = fixed_points(AffineIsometry.identity(2))
     assert origin == (Fraction(0), Fraction(0))
+
+
+def test_fixed_points_match_the_rational_solver():
+    # Reference: Gauss-Jordan on (S - I) v = -t, free variables set to 0.
+    rng = random.Random(83)
+    cases = [AffineIsometry.identity(n) for n in range(7)]
+    cases += [AffineIsometry.translation_by(_frac(
+        [rng.randrange(-3, 4) for _ in range(n)])) for n in range(7)]
+    for _ in range(3000):
+        n = rng.randrange(7)
+        # Zero shifts are common, so +1 coordinates are often consistent.
+        cases.append(AffineIsometry(
+            tuple(rng.choice((1, -1)) for _ in range(n)),
+            tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+                  if rng.random() < 0.7 else Fraction(0) for _ in range(n))))
+    for iso in cases:
+        n = iso.dim
+        rows = [[iso.signs[i] - 1 if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        expected = solve_rational(rows, [-t for t in iso.translation])
+        point = fixed_points(iso)
+        assert point == (None if expected is None else tuple(expected)), iso
+        if point is not None:
+            assert iso.apply(point) == point
+
+
+def _rn_point_evaluation(g, v):
+    # Reference: act on the point letter by letter, rightmost first, as the
+    # normal form lift(w) tau(t) acts: translate by t, then apply each
+    # letter i from the end of w (half-step on axis i, negate the rest).
+    point = [Fraction(u) + t for u, t in zip(v, g.t)]
+    for letter in reversed(g.w):
+        point = [u + Fraction(1, 2) if k == letter - 1 else -u
+                 for k, u in enumerate(point)]
+    return tuple(point)
+
+
+def test_rn_isometry_matches_letterwise_point_evaluation():
+    rng = random.Random(89)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        w = []
+        for _ in range(rng.randint(0, 300) if n > 1 else rng.randint(0, 1)):
+            w.append(rng.choice([i for i in range(1, n + 1) if w[-1:] != [i]]))
+        g = GroupElement(tuple(w), tuple(rng.randrange(-5, 6) for _ in range(n)))
+        v = _frac([Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                   for _ in range(n)])
+        assert rn_isometry(g).apply(v) == _rn_point_evaluation(g, v)
 
 
 def test_fixed_point_probe_matrix_model():

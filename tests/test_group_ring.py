@@ -152,3 +152,6 @@ def test_parse_set_file_reports_line_numbers():
     with pytest.raises(ElementSyntaxError) as err:
         parse_set_file("x1\nx9\n", 2)
     assert "line 2" in str(err.value)
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_set_file("x1\n\nx2^" + "1" * 5000 + "\n", 2)
+    assert "line 3" in str(err.value) and err.value.position == 0

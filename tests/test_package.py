@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,17 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+def test_readme_python_block_runs():
+    # Run only the fenced block: doctest on the whole file would read the
+    # closing fence as part of the last expected output.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    test = doctest.DocTestParser().get_doctest(blocks[0], {}, "README", str(readme), 0)
+    assert test.examples
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False).failed == 0
