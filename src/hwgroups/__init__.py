@@ -2,8 +2,9 @@
 
 The family G_n is presented on generators x_1 .. x_n with relators
 x_i^-1 x_j^2 x_i x_j^2 for i != j.  Everything in this package works
-over exact types: normal forms with integer lattice vectors, GF(2)
-bitset linear algebra, rational matrices, and integer polynomials.
+over exact types: normal forms with integer lattice vectors, sparse
+d_2 blocks over GF(2) (singleton pivoting then dense elimination on the
+remaining core), rational matrices, and integer polynomials.
 Floating point is never used.
 
 Headline entry points are re-exported here; the modules hold the rest:

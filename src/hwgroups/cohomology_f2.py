@@ -9,8 +9,13 @@ extended as a derivation in characteristic 2 with d_2(z_i) = 0:
     d_2(g_A)       = sum over i in A of z_i^2 g_{A minus i}
     d_2(z_i^p g_A) = z_i^(p+2) g_{A minus i}   (zero when i not in A)
 
-All page dimensions are exact F_2 ranks of these block matrices.  The
-third page is final and vanishes in columns p > 2; columns 3 and 4 are
+Every codomain monomial is hit by at most one domain monomial, so the
+differential is built directly as sparse d_2 blocks, rows of integer
+column indices (``d2_rows``), and each block is ranked by singleton
+pivoting then dense elimination on the remaining core
+(``f2_rank_sparse``).  All page dimensions are exact F_2 ranks of these
+blocks, each built and eliminated on its own.  The third
+page is final and vanishes in columns p > 2; columns 3 and 4 are
 materialized and checked to vanish (a VerificationError otherwise), with
 the z-linearity of d_2 as the periodicity witness for higher columns.
 """
@@ -19,22 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
 from .exact_algebra import (
-    F2Matrix,
     IntPolynomial,
     VerificationError,
+    f2_rank_sparse,
     f2_reduce,
     f2_rref,
 )
 
 __all__ = [
-    "E2Monomial",
-    "e2_basis",
-    "d2",
-    "D2Block",
-    "d2_block",
+    "d2_rows",
     "SpectralTables",
     "spectral_tables",
     "e3_dims",
@@ -52,10 +53,16 @@ __all__ = [
 P_MAX = 4
 
 
-def _masks_of_size(n: int, q: int) -> List[int]:
-    if q < 0 or q > n:
-        return []
-    return [m for m in range(1 << n) if m.bit_count() == q]
+def _positions(n: int) -> Tuple[List[List[int]], List[int]]:
+    """by_size[q] lists the masks of weight q in ascending order, for
+    q = 0 .. n + 1; pos[mask] is the index of mask in its list."""
+    by_size: List[List[int]] = [[] for _ in range(n + 2)]
+    pos = [0] * (1 << n)
+    for mask in range(1 << n):
+        same = by_size[mask.bit_count()]
+        pos[mask] = len(same)
+        same.append(mask)
+    return by_size, pos
 
 
 def _mask_to_set(mask: int) -> FrozenSet[int]:
@@ -73,95 +80,31 @@ def _g_str(mask: int) -> str:
     return "*".join(f"g{i}" for i in sorted(_mask_to_set(mask)))
 
 
-@dataclass(frozen=True)
-class E2Monomial:
-    """Basis monomial z_(z_index)^z_power * g_A of the second page.
+def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[List[int]]]]:
+    """Yield (p, q, n_cols, rows) for the d_2 block leaving each spot
+    (p, q), p <= P_MAX and 0 <= q <= n + 1, one block at a time.
 
-    z_index is 0 exactly when z_power is 0 (column p = 0 monomials g_A).
-    The subset A is stored as a bitmask: bit i-1 set iff i is in A.
+    Columns index the domain: g_A sits at pos[A] and z_i^p g_A at
+    (i-1) C(n, q) + pos[A], with A in ascending mask order.  Each row is
+    a codomain monomial z_i^(p+2) g_B (|B| = q - 1) as the list of
+    columns whose image contains it.  By the formulas above that is the
+    single monomial g_(B+i) or z_i^p g_(B+i) when i is not in B; the
+    zero rows, i in B, are left out.
     """
-
-    z_index: int
-    z_power: int
-    g_mask: int
-
-    def __post_init__(self) -> None:
-        if (self.z_index == 0) != (self.z_power == 0):
-            raise ValueError("z_index must be present exactly when z_power > 0")
-        if self.z_index < 0 or self.z_power < 0 or self.g_mask < 0:
-            raise ValueError("negative monomial data")
-
-    @property
-    def bidegree(self) -> Tuple[int, int]:
-        return (self.z_power, self.g_mask.bit_count())
-
-    def sort_key(self) -> Tuple[int, int, int]:
-        return (self.z_power, self.z_index, self.g_mask)
-
-    def __str__(self) -> str:
-        parts: List[str] = []
-        if self.z_power:
-            parts.append(
-                f"z{self.z_index}" if self.z_power == 1
-                else f"z{self.z_index}^{self.z_power}")
-        if self.g_mask:
-            parts.append(_g_str(self.g_mask))
-        return "*".join(parts) if parts else "1"
-
-
-def e2_basis(n: int, p: int, q: int) -> List[E2Monomial]:
-    """Ordered basis of the (p, q) spot of the second page.
-
-    Ordering is z_index ascending then A ascending as a bitmask; this
-    fixes every matrix layout in the module.
-    """
-    if p < 0:
-        raise ValueError("column index must be nonnegative")
-    masks = _masks_of_size(n, q)
-    if p == 0:
-        return [E2Monomial(0, 0, m) for m in masks]
-    return [E2Monomial(i, p, m) for i in range(1, n + 1) for m in masks]
-
-
-def d2(m: E2Monomial) -> FrozenSet[E2Monomial]:
-    """Value of the differential on a basis monomial, as a monomial set."""
-    if m.z_power == 0:
-        out = []
-        mask = m.g_mask
-        while mask:
-            low = mask & -mask
-            i = low.bit_length()
-            out.append(E2Monomial(i, 2, m.g_mask ^ low))
-            mask ^= low
-        return frozenset(out)
-    bit = 1 << (m.z_index - 1)
-    if m.g_mask & bit:
-        return frozenset({E2Monomial(m.z_index, m.z_power + 2, m.g_mask ^ bit)})
-    return frozenset()
-
-
-@dataclass(frozen=True)
-class D2Block:
-    """The differential leaving spot (p, q) as an explicit matrix.
-
-    Rows are indexed by the codomain basis at (p+2, q-1) and columns by
-    the domain basis at (p, q).
-    """
-
-    domain: Tuple[E2Monomial, ...]
-    codomain: Tuple[E2Monomial, ...]
-    matrix: F2Matrix
-
-
-def d2_block(n: int, p: int, q: int) -> D2Block:
-    domain = e2_basis(n, p, q)
-    codomain = e2_basis(n, p + 2, q - 1)
-    index = {mono: r for r, mono in enumerate(codomain)}
-    rows = [0] * len(codomain)
-    for c, mono in enumerate(domain):
-        for target in d2(mono):
-            rows[index[target]] |= 1 << c
-    return D2Block(tuple(domain), tuple(codomain), F2Matrix(tuple(rows), len(domain)))
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    by_size, pos = _positions(n)
+    for p in range(P_MAX + 1):
+        for q in range(n + 2):
+            width = len(by_size[q])
+            rows = []
+            if q:
+                for i in range(n):
+                    bit = 1 << i
+                    base = i * width if p else 0
+                    rows.extend([base + pos[b | bit]]
+                                for b in by_size[q - 1] if not b & bit)
+            yield p, q, width * n if p else width, rows
 
 
 @dataclass(frozen=True)
@@ -183,15 +126,11 @@ def spectral_tables(n: int) -> SpectralTables:
     are materialized; they must vanish, and that is checked here rather
     than assumed.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     rank: Dict[Tuple[int, int], int] = {}
     e2_dim: Dict[Tuple[int, int], int] = {}
-    for p in range(P_MAX + 1):
-        for q in range(n + 2):
-            block = d2_block(n, p, q)
-            e2_dim[(p, q)] = block.matrix.n_cols
-            rank[(p, q)] = block.matrix.rank()
+    for p, q, n_cols, rows in d2_rows(n):
+        e2_dim[(p, q)] = n_cols
+        rank[(p, q)] = f2_rank_sparse(rows)
     z2: Dict[Tuple[int, int], int] = {}
     b2: Dict[Tuple[int, int], int] = {}
     e3: Dict[Tuple[int, int], int] = {}
@@ -310,7 +249,7 @@ class EnAlgebra:
         self._mono_index: Dict[int, Dict[Tuple[int, int], int]] = {}
         self._pivots: Dict[int, Dict[int, int]] = {}
         self._reps: Dict[int, List[EnBasisElement]] = {}
-        by_size = [_masks_of_size(n, q) for q in range(n + 2)]
+        by_size = _positions(n)[0]
         for q in range(n + 1):
             monos = [
                 (i, mask)

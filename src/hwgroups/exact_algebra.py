@@ -1,8 +1,10 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, F_2 ranks and echelon bases, Smith normal form
-over Z, binomials, and exact linear algebra over Q.  Everything here is
-pure and allocation-cheap; no floating point is used anywhere.
+Integer polynomials, F_2 ranks and echelon bases, the rank of sparse
+F_2 matrices (singleton pivoting then dense elimination on the
+remaining core), Smith normal form over Z, binomials, and exact linear
+algebra over Q.  Everything here is pure and allocation-cheap; no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "IntPolynomial",
     "F2Matrix",
     "f2_rref",
+    "f2_rank_sparse",
     "f2_reduce",
     "IntMatrix",
     "smith_normal_form",
@@ -238,6 +241,46 @@ def f2_rref(rows: Iterable[int]) -> dict:
                 break
             row ^= piv
     return pivots
+
+
+def f2_rank_sparse(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over F_2 of a sparse matrix, each row the list of the columns
+    of its nonzero entries (each listed once).
+
+    First the singleton phase of structured Gaussian elimination: a
+    weight-1 row is a pivot, and adding it to every other row that holds
+    its column clears that column; rows left with one column become
+    pivots in turn.  The remaining core, rows of weight >= 2 on columns
+    no pivot touched, is re-indexed to bitsets and ranked by ``f2_rref``.
+    The first phase is linear in the entries: each is cleared at most once.
+    """
+    queue: List[int] = []  # columns of weight-1 rows, to pivot on
+    live: List[set] = []
+    holders: dict = {}  # column -> indices of the live rows holding it
+    for row in rows:
+        if len(row) == 1:
+            queue.append(row[0])
+        elif row:
+            support = set(row)
+            if len(support) != len(row):
+                raise ValueError("a sparse row lists a column twice")
+            for c in support:
+                holders.setdefault(c, []).append(len(live))
+            live.append(support)
+    pivoted = set()
+    while queue:
+        c = queue.pop()
+        if c in pivoted:
+            continue
+        pivoted.add(c)
+        for k in holders.pop(c, ()):
+            support = live[k]
+            support.discard(c)
+            if len(support) == 1:
+                queue.extend(support)
+    index = {c: j for j, c in enumerate(holders)}
+    core = [sum(1 << index[c] for c in support) for support in live if support]
+    return len(pivoted) + len(f2_rref(core))
 
 
 def f2_reduce(vec: int, pivots: Mapping[int, int]) -> int:

@@ -238,10 +238,21 @@ def parse_element(s: str, n: int) -> GroupElement:
 
 
 def format_element(g: GroupElement) -> str:
-    """Canonical text form: 'w = x1 x2 | t = (1,-1)'."""
+    """Canonical text form: 'w = x1 x2 | t = (1,-1)'.
+
+    A lattice coordinate with more digits than ``str`` converts raises
+    ValueError naming the coordinate and the limit.
+    """
     word = " ".join(f"x{i}" for i in g.w)
-    vec = ",".join(str(v) for v in g.t)
-    return f"w = {word} | t = ({vec})"
+    coords = []
+    for k, v in enumerate(g.t, 1):
+        try:
+            coords.append(str(v))
+        except ValueError:
+            raise ValueError(
+                f"lattice coordinate t_{k} has more than {sys.get_int_max_str_digits()} "
+                "digits, the limit of sys.get_int_max_str_digits()") from None
+    return f"w = {word} | t = ({','.join(coords)})"
 
 
 def project_w(a: GroupElement) -> Tuple[int, ...]:

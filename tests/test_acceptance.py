@@ -15,9 +15,6 @@ from fractions import Fraction
 from hwgroups import cohomology_f2, cohomology_q, crystal, hw_group, quotient_w
 from hwgroups.cohomology_f2 import (
     P_MAX,
-    d2,
-    d2_block,
-    e2_basis,
     e3_dims,
     en_basis,
     en_multiply,
@@ -36,6 +33,7 @@ from hwgroups.cohomology_q import (
     poincare_q_spectral,
 )
 from hwgroups.exact_algebra import IntPolynomial
+from spectral_reference import d2, d2_block, e2_basis
 
 TIME_LIMIT_SECONDS = 30.0
 

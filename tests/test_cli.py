@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -188,6 +189,23 @@ def test_over_long_numbers_are_parse_errors():
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("parse error: ") and "(at position 3)" in err
+
+
+def test_oversized_coordinate_names_the_limit():
+    # each atom parses, but the summed coordinate has 4301 digits
+    eights = "8" * 4300
+    word = f"x1^{eights} x1^{eights} x1^{eights}"
+    message = ("error: lattice coordinate t_1 has more than 4300 digits, "
+               "the limit of sys.get_int_max_str_digits()\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (("nf", "--n", "2", word), ("inv", "--n", "2", word),
+                     ("mul", "--n", "2", word, "x2")):
+            for fmt in ("text", "json"):
+                assert run_cli(*argv, "--format", fmt) == (2, "", message)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_probe_commands_find_nothing():

@@ -5,14 +5,12 @@ import math
 
 import pytest
 
-from hwgroups.exact_algebra import IntPolynomial
+from hwgroups.exact_algebra import IntPolynomial, f2_rank_sparse
 from hwgroups.cohomology_f2 import (
-    E2Monomial,
+    P_MAX,
     EnAlgebra,
     EnBasisElement,
-    d2,
-    d2_block,
-    e2_basis,
+    d2_rows,
     e3_dims,
     en_basis,
     en_multiply,
@@ -22,6 +20,7 @@ from hwgroups.cohomology_f2 import (
     poincare_f2_spectral,
     spectral_tables,
 )
+from spectral_reference import E2Monomial, d2, d2_block, e2_basis
 
 
 def test_e2_basis_counts():
@@ -98,6 +97,49 @@ def test_spectral_tables_consistency():
                 assert value == 0
         for (p, q), value in tables.e2.items():
             assert value == len(e2_basis(n, p, q))
+
+
+def test_sparse_blocks_match_the_symbolic_reference():
+    for n in range(11):
+        blocks = list(d2_rows(n))
+        assert [(p, q) for p, q, _, _ in blocks] == [
+            (p, q) for p in range(P_MAX + 1) for q in range(n + 2)]
+        for p, q, n_cols, rows in blocks:
+            block = d2_block(n, p, q)
+            assert n_cols == len(block.domain)
+            # the sparse rows are the nonzero rows of the reference matrix
+            assert all(0 <= c < n_cols for row in rows for c in row)
+            assert sorted(sum(1 << c for c in row) for row in rows) == \
+                sorted(row for row in block.matrix.rows if row)
+            assert f2_rank_sparse(rows) == block.matrix.rank()
+
+
+# SHA-256 of the e2, z2, b2 and e3 tables of spectral_tables(n), one
+# "name p q value" line per entry in key order; recorded from the
+# symbolic block construction with bitset elimination.
+TABLE_DIGESTS = {
+    0: "46bfea45a720782d4863f60315f10408cdf9ba25b2981a3095325cf8c4a2d297",
+    1: "ef15734f7cf36961bb26fec42c8d2f1636cbaae403170bd86b71e0739c4c1876",
+    2: "0039c060fcfcd0dc5cc87fefd5f8539abc7e05df36c56cf0441f839a41110fff",
+    3: "0c358c648bb08e4573ac85c82e7ca91514fe1fb3c873bee9033a96d8cb045663",
+    4: "4f7f08daa963c97c56c923006fc4047b482c881687e0f3a4dd79672b4fbd4671",
+    5: "8b1416c5a8a279609462607c53f5e999959e686fb6fe565759cf0ba6796820fa",
+    6: "0d475cbc6f3d9c4871df1c9250315ef04116b3eb6f4e40f3417903c017857b11",
+    7: "0e38f030072b4c59388f93d85134fa8e4b2ca023df98f019286bba401a567f9a",
+    8: "906eda61a36f16b56f389e23f517a4e12dab3fa09e21efd12e895e79f82eb98b",
+    9: "184e85266341c0eadf2df78c80396c246b45cf88b23a33fbebf5631f1080fd3c",
+    10: "05e9686045c86483211026a3d40d6dc539e16ab1d2533bcae310b6464baccd40",
+    11: "4cd2699dae5b712e73ded96a2bf360b017214c7a06ac133e3153893960ae403a",
+    12: "12331fd1545460b019a62e8b945149407c41d88453f8616b52409afbe4b18b4e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_spectral_tables_are_pinned(n):
+    tables = spectral_tables(n)
+    text = "".join(f"{name} {p} {q} {value}\n" for name in ("e2", "z2", "b2", "e3")
+                   for (p, q), value in sorted(getattr(tables, name).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 def test_e3_dims_rank_two():

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 import hwgroups
+from hwgroups import exact_algebra
 from hwgroups.exact_algebra import (
     F2Matrix,
     IntMatrix,
     IntPolynomial,
     binomial,
+    f2_rank_sparse,
     f2_reduce,
     f2_rref,
     rational_rank,
@@ -210,6 +212,55 @@ def test_f2_echelon_basis_against_fully_reduced_reference():
         for _ in range(4):
             vec = rng.getrandbits(n_cols)
             assert f2_reduce(vec, echelon) == f2_reduce(vec, reference)
+
+
+def _sparse_row_set(rng, n_cols):
+    """Seeded rows mixing empty rows, singletons drawn from a small pool
+    (so they repeat) and rows of weight >= 2; a third of the sets have no
+    singleton at all."""
+    pool = rng.sample(range(n_cols), min(n_cols, 3))
+    no_singletons = rng.randrange(3) == 0
+    rows = []
+    for _ in range(rng.randrange(0, 20)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([])
+        elif kind == 1 and not no_singletons:
+            rows.append([rng.choice(pool)])
+        elif n_cols >= 2:
+            rows.append(rng.sample(range(n_cols), rng.randrange(2, min(n_cols, 6) + 1)))
+    return rows
+
+
+def test_f2_rank_sparse_against_dense_rank(monkeypatch):
+    cores = []
+    dense = exact_algebra.f2_rref
+    monkeypatch.setattr(exact_algebra, "f2_rref",
+                        lambda rows: cores.append(len(rows)) or dense(rows))
+    rng = random.Random(59)
+    for _ in range(2000):
+        n_cols = rng.randrange(1, 25)
+        rows = _sparse_row_set(rng, n_cols)
+        bits = [sum(1 << c for c in row) for row in rows]
+        expected = F2Matrix(tuple(bits), n_cols).rank()
+        assert expected == _reference_rank(bits, n_cols)
+        assert f2_rank_sparse(rows) == expected
+    # many sets leave a core for the dense elimination
+    assert sum(1 for size in cores if size) > 500
+
+
+def test_f2_rank_sparse_hand_cases():
+    assert f2_rank_sparse([]) == 0
+    assert f2_rank_sparse([[], [3], [3], []]) == 1
+    # each pivot leaves the next row with one column: a cascade, no core
+    assert f2_rank_sparse([[0, 1], [1, 2], [2, 3], [3]]) == 4
+    # a pivot clears its column from a row, which then repeats a pivot
+    assert f2_rank_sparse([[0], [0, 1], [1]]) == 2
+    # a cycle: no singleton, rank one less than its length
+    assert f2_rank_sparse([[0, 1], [1, 2], [0, 2]]) == 2
+    assert f2_rank_sparse(iter([[5], [5, 7], (7, 9)])) == 3
+    with pytest.raises(ValueError, match="twice"):
+        f2_rank_sparse([[1, 1]])
 
 
 def test_smith_normal_form_hand_cases():
