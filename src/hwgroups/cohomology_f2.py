@@ -14,10 +14,10 @@ differential is built directly as sparse d_2 blocks, rows of integer
 column indices (``d2_rows``), and each block is ranked by singleton
 pivoting then dense elimination on the remaining core
 (``f2_rank_sparse``).  All page dimensions are exact F_2 ranks of these
-blocks, each built and eliminated on its own.  The third
-page is final and vanishes in columns p > 2; columns 3 and 4 are
-materialized and checked to vanish (a VerificationError otherwise), with
-the z-linearity of d_2 as the periodicity witness for higher columns.
+blocks, each built and eliminated on its own.  The third page is final
+and vanishes in columns p > 2; columns 3 and 4 are materialized and
+checked to vanish (a VerificationError otherwise), with the z-linearity
+of d_2 as the periodicity witness for higher columns.
 """
 
 from __future__ import annotations
