@@ -2,9 +2,9 @@
 
 The family G_n is presented on generators x_1 .. x_n with relators
 x_i^-1 x_j^2 x_i x_j^2 for i != j.  Everything in this package works
-over exact types: normal forms with integer lattice vectors, sparse
-d_2 blocks over GF(2) (singleton pivoting then dense elimination on the
-remaining core), rational matrices, and integer polynomials.
+over exact types: normal forms with integer lattice vectors, monomial
+d_2 blocks, ranked by counting distinct columns, GF(2) echelon bases,
+rational matrices, and integer polynomials.
 Floating point is never used.
 
 Headline entry points are re-exported here; the modules hold the rest:
@@ -16,7 +16,7 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: polynomials, GF(2) matrices, Smith normal form.
+- ``exact_algebra``: polynomials, GF(2) elimination, Smith normal form.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 
@@ -46,7 +46,7 @@ from .crystal import (
     rn_isometry,
     verify_hom_g2_gamma3,
 )
-from .exact_algebra import F2Matrix, IntMatrix, IntPolynomial, smith_normal_form
+from .exact_algebra import IntMatrix, IntPolynomial, smith_normal_form
 from .group_ring import (
     RingElement,
     parse_set_file,
@@ -79,7 +79,6 @@ __all__ = [
     "F2_BACKEND",
     "__version__",
     "AffineIsometry",
-    "F2Matrix",
     "GroupElement",
     "IntMatrix",
     "IntPolynomial",

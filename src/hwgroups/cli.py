@@ -114,17 +114,20 @@ def cmd_abelianization(args: argparse.Namespace) -> Result:
 
 def cmd_ranks(args: argparse.Namespace) -> Result:
     details = quotient_w.kernel_rank_details(args.n)
-    # The text form is these fields as "key: value" lines, in this order.
+    # The text form is these fields as "key: value" lines, in this order;
+    # JSON keeps the integers as numbers and the fractions as strings.
     fields = {
-        "euler_wn": str(quotient_w.euler_wn(args.n)),
+        "euler_wn": quotient_w.euler_wn(args.n),
         "commutator_rank": quotient_w.commutator_rank(args.n),
         "commutator_index": 2**args.n,
         "kernel_rank_h": details.rank,
         "s": details.s,
         "kernel_index": details.index,
-        "euler_kernel": str(details.euler),
+        "euler_kernel": details.euler,
     }
-    return 0, {"n": args.n, **fields}, [f"{k}: {v}" for k, v in fields.items()]
+    text = {k: hw_group.decimal_text(v, f"n={args.n}: {k}") for k, v in fields.items()}
+    record = {k: v if isinstance(v, int) else text[k] for k, v in fields.items()}
+    return 0, {"n": args.n, **record}, [f"{k}: {v}" for k, v in text.items()]
 
 
 def cmd_gamma3_verify(args: argparse.Namespace) -> Result:

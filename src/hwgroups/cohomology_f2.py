@@ -9,12 +9,11 @@ extended as a derivation in characteristic 2 with d_2(z_i) = 0:
     d_2(g_A)       = sum over i in A of z_i^2 g_{A minus i}
     d_2(z_i^p g_A) = z_i^(p+2) g_{A minus i}   (zero when i not in A)
 
-Every codomain monomial is hit by at most one domain monomial, so the
-differential is built directly as sparse d_2 blocks, rows of integer
-column indices (``d2_rows``), and each block is ranked by singleton
-pivoting then dense elimination on the remaining core
-(``f2_rank_sparse``).  All page dimensions are exact F_2 ranks of these
-blocks, each built and eliminated on its own.  The third page is final
+Every codomain monomial is hit by at most one domain monomial, so each
+nonzero row of a d_2 block is a unit vector: these are monomial d_2
+blocks, ranked by counting distinct columns (``d2_rows`` yields each
+row's single column).  All page dimensions are exact F_2 ranks of these
+blocks, each built and ranked on its own.  The third page is final
 and vanishes in columns p > 2; columns 3 and 4 are materialized and
 checked to vanish (a VerificationError otherwise), with the z-linearity
 of d_2 as the periodicity witness for higher columns.
@@ -29,7 +28,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 from .exact_algebra import (
     IntPolynomial,
     VerificationError,
-    f2_rank_sparse,
     f2_reduce,
     f2_rref,
 )
@@ -80,16 +78,17 @@ def _g_str(mask: int) -> str:
     return "*".join(f"g{i}" for i in sorted(_mask_to_set(mask)))
 
 
-def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[List[int]]]]:
-    """Yield (p, q, n_cols, rows) for the d_2 block leaving each spot
+def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
+    """Yield (p, q, n_cols, cols) for the d_2 block leaving each spot
     (p, q), p <= P_MAX and 0 <= q <= n + 1, one block at a time.
 
     Columns index the domain: g_A sits at pos[A] and z_i^p g_A at
-    (i-1) C(n, q) + pos[A], with A in ascending mask order.  Each row is
-    a codomain monomial z_i^(p+2) g_B (|B| = q - 1) as the list of
-    columns whose image contains it.  By the formulas above that is the
-    single monomial g_(B+i) or z_i^p g_(B+i) when i is not in B; the
-    zero rows, i in B, are left out.
+    (i-1) C(n, q) + pos[A], with A in ascending mask order.  Each
+    nonzero row is a codomain monomial z_i^(p+2) g_B (|B| = q - 1, i not
+    in B), and by the formulas above exactly one column maps onto it:
+    g_(B+i), or z_i^p g_(B+i).  cols lists that column for each nonzero
+    row; the zero rows, i in B, are left out.  The rank of the block
+    over F_2 is therefore len(set(cols)).
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
@@ -97,14 +96,14 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[List[int]]]]:
     for p in range(P_MAX + 1):
         for q in range(n + 2):
             width = len(by_size[q])
-            rows = []
+            cols = []
             if q:
                 for i in range(n):
                     bit = 1 << i
                     base = i * width if p else 0
-                    rows.extend([base + pos[b | bit]]
+                    cols.extend(base + pos[b | bit]
                                 for b in by_size[q - 1] if not b & bit)
-            yield p, q, width * n if p else width, rows
+            yield p, q, width * n if p else width, cols
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,9 @@ def spectral_tables(n: int) -> SpectralTables:
     """
     rank: Dict[Tuple[int, int], int] = {}
     e2_dim: Dict[Tuple[int, int], int] = {}
-    for p, q, n_cols, rows in d2_rows(n):
+    for p, q, n_cols, cols in d2_rows(n):
         e2_dim[(p, q)] = n_cols
-        rank[(p, q)] = f2_rank_sparse(rows)
+        rank[(p, q)] = len(set(cols))
     z2: Dict[Tuple[int, int], int] = {}
     b2: Dict[Tuple[int, int], int] = {}
     e3: Dict[Tuple[int, int], int] = {}

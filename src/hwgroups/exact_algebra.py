@@ -1,10 +1,11 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, F_2 ranks and echelon bases, the rank of sparse
-F_2 matrices (singleton pivoting then dense elimination on the
-remaining core), Smith normal form over Z, binomials, and exact linear
-algebra over Q.  Everything here is pure and allocation-cheap; no
-floating point is used anywhere.
+Integer polynomials, F_2 echelon bases and reduction, Smith normal
+form over Z, binomials, and exact linear algebra over Q.  ``f2_rref``
+is the package's one GF(2) elimination, used by the bigraded algebra;
+the spectral sequence has monomial d_2 blocks, ranked by counting
+distinct columns in ``cohomology_f2``, and needs none.  Everything here
+is pure and allocation-cheap; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "IntPolynomial",
-    "F2Matrix",
     "f2_rref",
-    "f2_rank_sparse",
     "f2_reduce",
     "IntMatrix",
     "smith_normal_form",
@@ -164,64 +163,6 @@ def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
 
-@dataclass(frozen=True)
-class F2Matrix:
-    """Matrix over F_2; row i is a bit-vector whose bit j is entry (i, j)."""
-
-    rows: Tuple[int, ...]
-    n_cols: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        bound = 1 << self.n_cols
-        for row in self.rows:
-            if row < 0 or row >= bound:
-                raise ValueError("row does not fit in n_cols bits")
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], n_cols: int | None = None) -> "F2Matrix":
-        if n_cols is None:
-            n_cols = len(entries[0]) if entries else 0
-        rows = []
-        for entry_row in entries:
-            if len(entry_row) != n_cols:
-                raise ValueError("ragged entry rows")
-            row = 0
-            for j, v in enumerate(entry_row):
-                if v & 1:
-                    row |= 1 << j
-            rows.append(row)
-        return cls(tuple(rows), n_cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(tuple(1 << j for j in range(n)), n)
-
-    @classmethod
-    def zero(cls, n_rows: int, n_cols: int) -> "F2Matrix":
-        return cls((0,) * n_rows, n_cols)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def transpose(self) -> "F2Matrix":
-        cols = [0] * self.n_cols
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return F2Matrix(tuple(cols), self.n_rows)
-
-    def rank(self) -> int:
-        """Rank over F_2: the number of pivots of the echelon basis."""
-        return len(f2_rref(self.rows))
-
-
 def f2_rref(rows: Iterable[int]) -> dict:
     """Echelon basis of the span of rows: a map lead column -> pivot row.
 
@@ -241,46 +182,6 @@ def f2_rref(rows: Iterable[int]) -> dict:
                 break
             row ^= piv
     return pivots
-
-
-def f2_rank_sparse(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over F_2 of a sparse matrix, each row the list of the columns
-    of its nonzero entries (each listed once).
-
-    First the singleton phase of structured Gaussian elimination: a
-    weight-1 row is a pivot, and adding it to every other row that holds
-    its column clears that column; rows left with one column become
-    pivots in turn.  The remaining core, rows of weight >= 2 on columns
-    no pivot touched, is re-indexed to bitsets and ranked by ``f2_rref``.
-    The first phase is linear in the entries: each is cleared at most once.
-    """
-    queue: List[int] = []  # columns of weight-1 rows, to pivot on
-    live: List[set] = []
-    holders: dict = {}  # column -> indices of the live rows holding it
-    for row in rows:
-        if len(row) == 1:
-            queue.append(row[0])
-        elif row:
-            support = set(row)
-            if len(support) != len(row):
-                raise ValueError("a sparse row lists a column twice")
-            for c in support:
-                holders.setdefault(c, []).append(len(live))
-            live.append(support)
-    pivoted = set()
-    while queue:
-        c = queue.pop()
-        if c in pivoted:
-            continue
-        pivoted.add(c)
-        for k in holders.pop(c, ()):
-            support = live[k]
-            support.discard(c)
-            if len(support) == 1:
-                queue.extend(support)
-    index = {c: j for j, c in enumerate(holders)}
-    core = [sum(1 << index[c] for c in support) for support in live if support]
-    return len(pivoted) + len(f2_rref(core))
 
 
 def f2_reduce(vec: int, pivots: Mapping[int, int]) -> int:

@@ -34,6 +34,7 @@ __all__ = [
     "power",
     "commutator",
     "parse_element",
+    "decimal_text",
     "format_element",
     "project_w",
     "phi",
@@ -237,6 +238,17 @@ def parse_element(s: str, n: int) -> GroupElement:
     return out
 
 
+def decimal_text(value, name: str) -> str:
+    """str(value), or a ValueError naming the value and the limit when it
+    has more digits than ``str`` converts."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{name} has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of sys.get_int_max_str_digits()") from None
+
+
 def format_element(g: GroupElement) -> str:
     """Canonical text form: 'w = x1 x2 | t = (1,-1)'.
 
@@ -244,14 +256,7 @@ def format_element(g: GroupElement) -> str:
     ValueError naming the coordinate and the limit.
     """
     word = " ".join(f"x{i}" for i in g.w)
-    coords = []
-    for k, v in enumerate(g.t, 1):
-        try:
-            coords.append(str(v))
-        except ValueError:
-            raise ValueError(
-                f"lattice coordinate t_{k} has more than {sys.get_int_max_str_digits()} "
-                "digits, the limit of sys.get_int_max_str_digits()") from None
+    coords = [decimal_text(v, f"lattice coordinate t_{k}") for k, v in enumerate(g.t, 1)]
     return f"w = {word} | t = ({','.join(coords)})"
 
 
@@ -331,10 +336,14 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
     """All products of at most r generators x_i^{+-1}, deduplicated.
 
     Breadth-first over append_letter moves; raises BallBudgetError as
-    soon as the visited set would exceed the budget.
+    soon as the visited set would exceed the budget, which counts the
+    identity and so must be at least 1.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    if budget < 1:
+        raise ValueError("ball budget must be at least 1, since it counts the "
+                         f"identity; got {budget}")
     seen = {identity(n)}
     frontier = [identity(n)]
     for _ in range(r):

@@ -1,18 +1,17 @@
 """Symbolic reference for the second page of the spectral sequence.
 
-``hwgroups.cohomology_f2`` builds each d_2 block directly as sparse
-integer rows.  This module keeps the slow, literal construction as the
-oracle the tests check it against: one ``E2Monomial`` per basis
-element, d_2 as a set of monomials, and each block as an ``F2Matrix``
-whose rows are indexed by the codomain and columns by the domain.
+``hwgroups.cohomology_f2`` builds each d_2 block directly as the
+column of each nonzero row.  This module keeps the slow, literal
+construction as the oracle the tests check it against: one
+``E2Monomial`` per basis element, d_2 as a set of monomials, and each
+block as one bitset per codomain row, bit c set when domain column c
+maps onto that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
-
-from hwgroups.exact_algebra import F2Matrix
 
 
 def _masks_of_size(n: int, q: int) -> List[int]:
@@ -97,12 +96,13 @@ class D2Block:
     """The differential leaving spot (p, q) as an explicit matrix.
 
     Rows are indexed by the codomain basis at (p+2, q-1) and columns by
-    the domain basis at (p, q).
+    the domain basis at (p, q); row r is a bitset with bit c set when
+    the entry (r, c) is 1.
     """
 
     domain: Tuple[E2Monomial, ...]
     codomain: Tuple[E2Monomial, ...]
-    matrix: F2Matrix
+    rows: Tuple[int, ...]
 
 
 def d2_block(n: int, p: int, q: int) -> D2Block:
@@ -113,4 +113,4 @@ def d2_block(n: int, p: int, q: int) -> D2Block:
     for c, mono in enumerate(domain):
         for target in d2(mono):
             rows[index[target]] |= 1 << c
-    return D2Block(tuple(domain), tuple(codomain), F2Matrix(tuple(rows), len(domain)))
+    return D2Block(tuple(domain), tuple(codomain), tuple(rows))

@@ -208,6 +208,28 @@ def test_oversized_coordinate_names_the_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_ranks_refuses_oversized_fields_by_the_limit():
+    # at the default limit of 4300 digits, commutator_rank of n = 14272 is
+    # the first field with more digits than str converts
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, n, ok in ((4300, 14271, True), (4300, 14272, False),
+                              (640, 14271, False)):
+            sys.set_int_max_str_digits(digits)
+            for fmt in ("text", "json"):
+                code, out, err = run_cli("ranks", "--n", str(n), "--format", fmt)
+                if ok:
+                    assert (code, err) == (0, "")
+                    assert "kernel_rank_h" in out
+                else:
+                    assert (code, out) == (2, "")
+                    assert err == (f"error: n={n}: commutator_rank has more than "
+                                   f"{digits} digits, the limit of "
+                                   "sys.get_int_max_str_digits()\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_probe_commands_find_nothing():
     code, out, _ = run_cli("probe", "torsion", "--n", "2",
                            "--radius", "3", "--kmax", "6")
@@ -327,6 +349,10 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
     (("poincare", "--n", "21", "--field", "q", "--method", "closed"),
      "n=21 exceeds the closed-form bound 20 (pass --unsafe-large to force)"),
     (("mod2-check", "--n", "3"), "mod-2 congruence is only claimed for even n"),
+    (("probe", "center", "--n", "2", "--radius", "2", "--budget", "-5"),
+     "ball budget must be at least 1, since it counts the identity; got -5"),
+    (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "2", "--budget", "0"),
+     "ball budget must be at least 1, since it counts the identity; got 0"),
     (("up-check", "--n", "2", "{x}", "{empty}"),
      "set files must contain at least one element each"),
 ])

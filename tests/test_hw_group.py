@@ -223,6 +223,13 @@ def test_ball_sizes():
 def test_ball_budget_guard():
     with pytest.raises(BallBudgetError):
         ball(3, 6, budget=50)
+    # the budget counts the identity
+    assert ball(2, 0, budget=1) == {identity(2)}
+    with pytest.raises(BallBudgetError):
+        ball(2, 1, budget=1)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            ball(2, 0, budget=budget)
 
 
 def test_probes_find_nothing_small():

@@ -26,11 +26,17 @@ if sys.flags.optimize < 1:
 """
 
 _CASES = {
-    # an elimination that overcounts makes ker d_2 negative
-    "negative_e3": ("cohomology_f2.f2_rank_sparse = lambda rows: len(rows) + 1",
+    # a spurious row in every block, on a column no real row uses,
+    # overcounts each rank by one; ker d_2 turns negative where d_2 is
+    # injective
+    "negative_e3": ("_d2 = cohomology_f2.d2_rows\n"
+                    "cohomology_f2.d2_rows = lambda n: ((p, q, w, cols + [w])\n"
+                    "    for p, q, w, cols in _d2(n))",
                     "cohomology_f2.spectral_tables(3)", "negative dimension"),
-    # an elimination that finds no pivots leaves columns p >= 3 nonzero
-    "e3_vanishing": ("cohomology_f2.f2_rank_sparse = lambda rows: 0",
+    # blocks with no nonzero rows have rank 0 and leave columns p >= 3 nonzero
+    "e3_vanishing": ("_d2 = cohomology_f2.d2_rows\n"
+                     "cohomology_f2.d2_rows = lambda n: ((p, q, w, [])\n"
+                     "    for p, q, w, _ in _d2(n))",
                      "cohomology_f2.spectral_tables(3)", "fails to vanish"),
     # integer scaling dropped: c * P returns P, so 2 * x^n turns odd
     "q_integrality": ("IntPolynomial.__rmul__ = lambda self, c: self",
