@@ -349,12 +349,12 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
     (("poincare", "--n", "21", "--field", "q", "--method", "closed"),
      "n=21 exceeds the closed-form bound 20 (pass --unsafe-large to force)"),
     (("mod2-check", "--n", "3"), "mod-2 congruence is only claimed for even n"),
+    (("up-check", "--n", "2", "{x}", "{empty}"),
+     "set files must contain at least one element each"),
     (("probe", "center", "--n", "2", "--radius", "2", "--budget", "-5"),
      "ball budget must be at least 1, since it counts the identity; got -5"),
     (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "2", "--budget", "0"),
      "ball budget must be at least 1, since it counts the identity; got 0"),
-    (("up-check", "--n", "2", "{x}", "{empty}"),
-     "set files must contain at least one element each"),
 ])
 def test_refusals_name_their_bound(argv, message, tmp_path):
     files = _set_files(tmp_path)
