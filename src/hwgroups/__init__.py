@@ -3,8 +3,9 @@
 The family G_n is presented on generators x_1 .. x_n with relators
 x_i^-1 x_j^2 x_i x_j^2 for i != j.  Everything in this package works
 over exact types: normal forms with integer lattice vectors, monomial
-d_2 blocks, ranked by counting distinct columns, GF(2) echelon bases,
-rational matrices, and integer polynomials.
+d_2 blocks, ranked by counting distinct columns, a bigraded algebra
+read off its disjoint relations, rational matrices, and integer
+polynomials.
 Floating point is never used.
 
 Headline entry points are re-exported here; the modules hold the rest:
@@ -16,7 +17,7 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: polynomials, GF(2) elimination, Smith normal form.
+- ``exact_algebra``: polynomials, Smith normal form, rational solve.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 
@@ -71,8 +72,8 @@ from .quotient_w import commutator_rank, euler_wn, kernel_rank_h, psi, reduce_w
 
 __version__ = "0.1.0"
 
-# F_2 elimination has a single pure-Python implementation; the name is
-# kept for callers that record which one produced a result.
+# The package runs no F_2 elimination; the name is kept, with its one
+# value, for callers that record which backend produced a result.
 F2_BACKEND = "pure"
 
 __all__ = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -157,11 +158,17 @@ def _parse_vector(text: str, n: int) -> List[Fraction]:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != n:
         raise ValueError(f"vector needs {n} comma-separated entries")
+    limit = sys.get_int_max_str_digits()
     for p in parts:
         # Fraction("1e50000000") would expand 10**50000000 digit by digit.
         if "e" in p.lower():
             raise ValueError(f"bad vector entry {p[:20]!r}: exponent notation "
                              "is not accepted; write p/q")
+        # int() refuses a run of more digits than the limit; 0 means no limit.
+        if limit and any(len(run.replace("_", "")) > limit
+                         for run in re.findall(r"\d+(?:_\d+)*", p)):
+            raise ValueError(f"bad vector entry {p[:20]!r}: a number has more than "
+                             f"{limit} digits, the limit of sys.get_int_max_str_digits()")
     try:
         return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -171,14 +178,15 @@ def _parse_vector(text: str, n: int) -> List[Fraction]:
 def cmd_action(args: argparse.Namespace) -> Result:
     g = hw_group.parse_element(args.word, args.n)
     vec = _parse_vector(args.vector, args.n)
-    out = crystal.rn_action(g, vec)
+    out = [hw_group.decimal_text(v, f"output coordinate {k}")
+           for k, v in enumerate(crystal.rn_action(g, vec), 1)]
     record = {
         "n": args.n,
         "element": hw_group.format_element(g),
         "input": [str(v) for v in vec],
-        "output": [str(v) for v in out],
+        "output": out,
     }
-    return 0, record, [_vector_str(out)]
+    return 0, record, ["(" + ",".join(out) + ")"]
 
 
 def cmd_probe(args: argparse.Namespace) -> Result:

@@ -17,6 +17,13 @@ blocks, each built and ranked on its own.  The third page is final
 and vanishes in columns p > 2; columns 3 and 4 are materialized and
 checked to vanish (a VerificationError otherwise), with the z-linearity
 of d_2 as the periodicity witness for higher columns.
+
+The bigraded algebra ``EnAlgebra`` presents the final page.  Its grade 2
+is spanned by the z_i^2 g_B modulo the relations
+r_A = sum over i in A of z_i^2 g_{A minus i}.  Each z_i^2 g_B lies in
+the one relation r_{B union i}, so the relations have disjoint supports:
+solving each r_A for its term with i = max A leaves the z_i^2 g_B with
+i < max B as representatives, and no elimination runs.
 """
 
 from __future__ import annotations
@@ -25,12 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
-from .exact_algebra import (
-    IntPolynomial,
-    VerificationError,
-    f2_reduce,
-    f2_rref,
-)
+from .exact_algebra import IntPolynomial, VerificationError
 
 __all__ = [
     "d2_rows",
@@ -64,14 +66,7 @@ def _positions(n: int) -> Tuple[List[List[int]], List[int]]:
 
 
 def _mask_to_set(mask: int) -> FrozenSet[int]:
-    out = set()
-    i = 1
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _g_str(mask: int) -> str:
@@ -231,10 +226,9 @@ Combination = FrozenSet[EnBasisElement]
 class EnAlgebra:
     """The bigraded algebra on symbols z_i g_A (i outside A).
 
-    Grade 2 is the span of the z_i^2 g_A monomials modulo the relations
-    r_A = sum over i in A of z_i^2 g_{A minus i}; representatives are
-    fixed once by F_2 elimination, so products reduce canonically.  The
-    only nonzero products besides the unit are
+    Grade 2 is read off the disjoint relations r_A (module docstring):
+    its representatives are the z_i^2 g_B with i < max B, so products
+    reduce canonically.  The only nonzero products besides the unit are
     (z_i g_A)(z_i g_B) = [z_i^2 g_{A union B}] for disjoint A, B.
     """
 
@@ -244,38 +238,20 @@ class EnAlgebra:
         self.n = n
         self.unit = EnBasisElement(0, 0, 0)
         self._grade1: List[EnBasisElement] = []
-        self._monos: Dict[int, List[Tuple[int, int]]] = {}
-        self._mono_index: Dict[int, Dict[Tuple[int, int], int]] = {}
-        self._pivots: Dict[int, Dict[int, int]] = {}
         self._reps: Dict[int, List[EnBasisElement]] = {}
         by_size = _positions(n)[0]
         for q in range(n + 1):
-            monos = [
-                (i, mask)
+            symbols = [
+                EnBasisElement(1, i, mask)
                 for i in range(1, n + 1)
                 for mask in by_size[q]
                 if not (mask >> (i - 1)) & 1
             ]
-            index = {im: k for k, im in enumerate(monos)}
-            relations = []
-            for big in by_size[q + 1]:
-                row = 0
-                mask = big
-                while mask:
-                    low = mask & -mask
-                    i = low.bit_length()
-                    row |= 1 << index[(i, big ^ low)]
-                    mask ^= low
-                relations.append(row)
-            pivots = f2_rref(relations)
-            self._grade1.extend(EnBasisElement(1, i, mask) for i, mask in monos)
-            self._monos[q] = monos
-            self._mono_index[q] = index
-            self._pivots[q] = pivots
+            self._grade1.extend(symbols)
             self._reps[q] = [
-                EnBasisElement(2, i, mask)
-                for k, (i, mask) in enumerate(monos)
-                if k not in pivots
+                EnBasisElement(2, e.z_index, e.g_mask)
+                for e in symbols
+                if e.g_mask >> e.z_index
             ]
 
     def basis(self) -> List[EnBasisElement]:
@@ -296,18 +272,15 @@ class EnAlgebra:
         return table
 
     def reduce_grade2(self, i: int, mask: int) -> Combination:
-        """Class of the monomial z_i^2 g_mask in the reduced basis."""
-        q = mask.bit_count()
-        vec = 1 << self._mono_index[q][(i, mask)]
-        reduced = f2_reduce(vec, self._pivots[q])
-        monos = self._monos[q]
-        out = set()
-        while reduced:
-            low = reduced & -reduced
-            gi, gmask = monos[low.bit_length() - 1]
-            out.add(EnBasisElement(2, gi, gmask))
-            reduced ^= low
-        return frozenset(out)
+        """Class of the monomial z_i^2 g_mask in the reduced basis: the
+        monomial itself when i < max(mask), otherwise the other terms of
+        the relation r_{mask union i} (none when mask is empty)."""
+        own = self._terms(EnBasisElement(2, i, mask))
+        if mask >> i:
+            return own
+        full = mask | 1 << (i - 1)
+        return frozenset(EnBasisElement(2, j, full ^ 1 << (j - 1))
+                         for j in _mask_to_set(mask))
 
     def _term_product(self, a: EnBasisElement, b: EnBasisElement) -> Combination:
         if a.grade == 0:

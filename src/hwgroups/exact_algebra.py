@@ -1,27 +1,23 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, F_2 echelon bases and reduction, Smith normal
-form over Z, binomials, and exact linear algebra over Q.  ``f2_rref``
-is the package's one GF(2) elimination, used by the bigraded algebra;
-the spectral sequence has monomial d_2 blocks, ranked by counting
-distinct columns in ``cohomology_f2``, and needs none.  Everything here
-is pure and allocation-cheap; no floating point is used anywhere.
+Integer polynomials, Smith normal form over Z, and exact linear algebra
+over Q.  No GF(2) elimination is needed anywhere: the spectral sequence
+has monomial d_2 blocks, ranked by counting distinct columns, and the
+bigraded algebra has relations with disjoint supports, both in
+``cohomology_f2``.  Everything here is pure and allocation-cheap; no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 __all__ = [
     "IntPolynomial",
-    "f2_rref",
-    "f2_reduce",
     "IntMatrix",
     "smith_normal_form",
-    "binomial",
     "rational_rank",
     "solve_rational",
     "VerificationError",
@@ -33,13 +29,6 @@ class VerificationError(AssertionError):
     Raised explicitly rather than by ``assert`` so the check still runs
     under ``python -O``.
     """
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, with out-of-range arguments defined as 0."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -161,42 +150,6 @@ def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:
     if isinstance(value, int):
         return IntPolynomial((value,))
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
-
-
-def f2_rref(rows: Iterable[int]) -> dict:
-    """Echelon basis of the span of rows: a map lead column -> pivot row.
-
-    Pivots sit on the highest set bit and are not back-substituted.
-    Reduction against the map is still canonical: the leads are distinct,
-    so each nonzero vector of the row space has its lead among them, and
-    ``f2_reduce`` returns the unique vector of its coset whose support
-    avoids every lead.
-    """
-    pivots: dict = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            row ^= piv
-    return pivots
-
-
-def f2_reduce(vec: int, pivots: Mapping[int, int]) -> int:
-    """Canonical representative of vec modulo the span of the pivot rows."""
-    out = 0
-    while vec:
-        lead = vec.bit_length() - 1
-        piv = pivots.get(lead)
-        if piv is None:
-            bit = 1 << lead
-            out |= bit
-            vec ^= bit
-        else:
-            vec ^= piv
-    return out
 
 
 @dataclass(frozen=True)

@@ -319,13 +319,16 @@ def abelianization_relation_matrix(n: int) -> IntMatrix:
 def abelianization_invariants(n: int) -> Tuple[int, ...]:
     """Invariant factors of the abelianization, by Smith normal form.
 
-    n = 1 gives the empty tuple (the group is Z, free of rank 1).
+    Each row 4 e_j of the relation matrix occurs n - 1 times; the copies
+    reduce to zero rows by unimodular row operations, and zero factors
+    are dropped, so the form is taken of the n distinct rows only.
+    n = 1 has no relators and gives the empty tuple (the group is Z,
+    free of rank 1).
     """
-    matrix = abelianization_relation_matrix(n)
-    if not matrix.entries:
-        return ()
-    diag = smith_normal_form(matrix)
-    return tuple(d for d in diag if d != 0)
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    rows = [tuple(4 if k == j else 0 for k in range(n)) for j in range(n)] if n > 1 else []
+    return tuple(d for d in smith_normal_form(rows) if d != 0)
 
 
 def element_sort_key(g: GroupElement):

@@ -1,17 +1,21 @@
-"""Symbolic reference for the second page of the spectral sequence.
+"""Symbolic reference for the second page of the spectral sequence,
+and the GF(2) elimination the tests use as an oracle.
 
 ``hwgroups.cohomology_f2`` builds each d_2 block directly as the
 column of each nonzero row.  This module keeps the slow, literal
 construction as the oracle the tests check it against: one
 ``E2Monomial`` per basis element, d_2 as a set of monomials, and each
 block as one bitset per codomain row, bit c set when domain column c
-maps onto that row.
+maps onto that row.  ``f2_rref`` and ``f2_reduce`` are a general echelon
+basis and reduction over GF(2); the package needs neither, since its
+d_2 blocks are monomial and its grade-2 relations have disjoint
+supports, and the tests check both shortcuts against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
 
 def _masks_of_size(n: int, q: int) -> List[int]:
@@ -114,3 +118,39 @@ def d2_block(n: int, p: int, q: int) -> D2Block:
         for target in d2(mono):
             rows[index[target]] |= 1 << c
     return D2Block(tuple(domain), tuple(codomain), tuple(rows))
+
+
+def f2_rref(rows: Iterable[int]) -> dict:
+    """Echelon basis of the span of rows: a map lead column -> pivot row.
+
+    Pivots sit on the highest set bit and are not back-substituted.
+    Reduction against the map is still canonical: the leads are distinct,
+    so each nonzero vector of the row space has its lead among them, and
+    ``f2_reduce`` returns the unique vector of its coset whose support
+    avoids every lead.
+    """
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            row ^= piv
+    return pivots
+
+
+def f2_reduce(vec: int, pivots: Mapping[int, int]) -> int:
+    """Canonical representative of vec modulo the span of the pivot rows."""
+    out = 0
+    while vec:
+        lead = vec.bit_length() - 1
+        piv = pivots.get(lead)
+        if piv is None:
+            bit = 1 << lead
+            out |= bit
+            vec ^= bit
+        else:
+            vec ^= piv
+    return out

@@ -32,8 +32,8 @@ from hwgroups.cohomology_q import (
     poincare_q_closed,
     poincare_q_spectral,
 )
-from hwgroups.exact_algebra import IntPolynomial, f2_rref
-from spectral_reference import d2, d2_block, e2_basis
+from hwgroups.exact_algebra import IntPolynomial
+from spectral_reference import d2, d2_block, e2_basis, f2_rref
 
 TIME_LIMIT_SECONDS = 30.0
 

@@ -208,6 +208,26 @@ def test_oversized_coordinate_names_the_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_action_names_the_digit_limit():
+    # a 5000-digit denominator cannot be read; a 4300-digit entry can, but
+    # x1 maps it to (2 * 9...9 + 1)/2, whose numerator has 4301 digits
+    cases = (("1/" + "1" * 5000 + ",0",
+              "error: bad vector entry '1/111111111111111111': a number has more "
+              "than 4300 digits, the limit of sys.get_int_max_str_digits()\n"),
+             ("9" * 4300 + ",0",
+              "error: output coordinate 1 has more than 4300 digits, "
+              "the limit of sys.get_int_max_str_digits()\n"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for vector, message in cases:
+            for fmt in ("text", "json"):
+                assert run_cli("action", "--n", "2", "x1", "--vector", vector,
+                               "--format", fmt) == (2, "", message)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_ranks_refuses_oversized_fields_by_the_limit():
     # at the default limit of 4300 digits, commutator_rank of n = 14272 is
     # the first field with more digits than str converts

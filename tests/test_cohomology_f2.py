@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hwgroups.exact_algebra import IntPolynomial, f2_rref
+from hwgroups.exact_algebra import IntPolynomial
 from hwgroups.cohomology_f2 import (
     P_MAX,
     EnAlgebra,
@@ -20,7 +20,7 @@ from hwgroups.cohomology_f2 import (
     poincare_f2_spectral,
     spectral_tables,
 )
-from spectral_reference import E2Monomial, d2, d2_block, e2_basis
+from spectral_reference import E2Monomial, d2, d2_block, e2_basis, f2_reduce, f2_rref
 
 
 def test_e2_basis_counts():
@@ -240,6 +240,46 @@ def test_en_basis_and_grade2_classes_are_pinned(n):
                 cls = algebra.reduce_grade2(i, mask)
                 lines.append(f"z{i}^2 g{mask}: " + " + ".join(sorted(map(str, cls))))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EN_DIGESTS[n]
+
+
+def _grade2_echelon(n, q):
+    """The monomials z_i^2 g_mask with |mask| = q (i first, then masks
+    ascending), and f2_rref of the relations r_A, |A| = q + 1, packed as
+    bitsets over them."""
+    masks = [m for m in range(1 << n) if m.bit_count() == q]
+    monos = [(i, m) for i in range(1, n + 1) for m in masks if not m >> (i - 1) & 1]
+    index = {mono: k for k, mono in enumerate(monos)}
+    relations = []
+    for full in range(1 << n):
+        if full.bit_count() == q + 1:
+            row = 0
+            for i in range(1, n + 1):
+                if full >> (i - 1) & 1:
+                    row |= 1 << index[(i, full ^ 1 << (i - 1))]
+            relations.append(row)
+    return monos, f2_rref(relations)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_grade2_read_off_matches_elimination(n):
+    algebra = EnAlgebra(n)
+    reps = []
+    for q in range(n + 1):
+        monos, pivots = _grade2_echelon(n, q)
+        reps += [EnBasisElement(2, i, m) for k, (i, m) in enumerate(monos) if k not in pivots]
+        for k, (i, mask) in enumerate(monos):
+            reduced = f2_reduce(1 << k, pivots)
+            expected = set()
+            while reduced:
+                low = reduced & -reduced
+                expected.add(EnBasisElement(2, *monos[low.bit_length() - 1]))
+                reduced ^= low
+            assert algebra.reduce_grade2(i, mask) == expected, (i, mask)
+    assert [e for e in algebra.basis() if e.grade == 2] == reps
+    # symbols inside their subset or outside rank n are refused
+    for i, mask in ((1, 0b1), (0, 0), (n + 1, 0), (1, 1 << n)):
+        with pytest.raises(ValueError):
+            algebra.reduce_grade2(i, mask)
 
 
 def test_en_element_validation():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import os
 import random
 import subprocess
@@ -13,21 +12,11 @@ import hwgroups
 from hwgroups.exact_algebra import (
     IntMatrix,
     IntPolynomial,
-    binomial,
-    f2_reduce,
-    f2_rref,
     rational_rank,
     smith_normal_form,
     solve_rational,
 )
-
-
-def test_binomial_matches_comb_and_extends_by_zero():
-    for n in range(12):
-        for k in range(-2, n + 3):
-            expected = math.comb(n, k) if 0 <= k <= n else 0
-            assert binomial(n, k) == expected
-    assert binomial(-1, 0) == 0
+from spectral_reference import f2_reduce, f2_rref
 
 
 def test_polynomial_canonical_form():

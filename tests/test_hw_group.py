@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hwgroups.exact_algebra import smith_normal_form
 from hwgroups.hw_group import (
     BallBudgetError,
     ElementSyntaxError,
@@ -209,6 +210,17 @@ def test_abelianization_presentation():
     m = abelianization_relation_matrix(3)
     assert len(m.entries) == 6
     assert sorted(m.entries)[0] == (0, 0, 4)
+
+
+def test_abelianization_from_distinct_rows():
+    # the Smith form of the full n(n-1)-row matrix is the oracle
+    for n in range(1, 9):
+        full = smith_normal_form(abelianization_relation_matrix(n))
+        assert abelianization_invariants(n) == tuple(d for d in full if d)
+    # n(n-1) = 22350 rows would take seconds; the n distinct rows do not
+    assert abelianization_invariants(150) == (4,) * 150
+    with pytest.raises(ValueError):
+        abelianization_invariants(0)
 
 
 def test_ball_sizes():
