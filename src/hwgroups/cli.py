@@ -114,6 +114,12 @@ def cmd_abelianization(args: argparse.Namespace) -> Result:
 
 
 def cmd_ranks(args: argparse.Namespace) -> Result:
+    # commutator_rank >= 2^(n-1): refuse before building huge integers when
+    # 2^(n-1) alone has more digits than str converts (0 means no limit).
+    limit = sys.get_int_max_str_digits()
+    if limit and args.n - 1 >= (10**limit).bit_length():
+        raise ValueError(f"n={args.n}: commutator_rank has more than {limit} "
+                         "digits, the limit of sys.get_int_max_str_digits()")
     details = quotient_w.kernel_rank_details(args.n)
     # The text form is these fields as "key: value" lines, in this order;
     # JSON keeps the integers as numbers and the fractions as strings.

@@ -18,18 +18,18 @@ and vanishes in columns p > 2; columns 3 and 4 are materialized and
 checked to vanish (a VerificationError otherwise), with the z-linearity
 of d_2 as the periodicity witness for higher columns.
 
-The bigraded algebra ``EnAlgebra`` presents the final page.  Its grade 2
-is spanned by the z_i^2 g_B modulo the relations
+The bigraded algebra (``en_basis``, ``en_multiply``) presents the final
+page.  Its grade 2 is spanned by the z_i^2 g_B modulo the relations
 r_A = sum over i in A of z_i^2 g_{A minus i}.  Each z_i^2 g_B lies in
 the one relation r_{B union i}, so the relations have disjoint supports:
 solving each r_A for its term with i = max A leaves the z_i^2 g_B with
-i < max B as representatives, and no elimination runs.
+i < max B as representatives, and no elimination runs.  Nothing is
+cached: every function recomputes its result from n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
 from .exact_algebra import IntPolynomial, VerificationError
@@ -43,8 +43,9 @@ __all__ = [
     "poincare_f2_closed",
     "lemma_f_parts",
     "EnBasisElement",
-    "EnAlgebra",
     "en_basis",
+    "en_dims",
+    "reduce_grade2",
     "en_multiply",
     "EnComparison",
     "en_vs_e3",
@@ -112,7 +113,6 @@ class SpectralTables:
     e3: Dict[Tuple[int, int], int]
 
 
-@lru_cache(maxsize=None)
 def spectral_tables(n: int) -> SpectralTables:
     """Compute dim E_2, ker d_2, im d_2 and dim E_3 blockwise.
 
@@ -145,7 +145,7 @@ def spectral_tables(n: int) -> SpectralTables:
 
 def e3_dims(n: int) -> Dict[Tuple[int, int], int]:
     """Third-page dimension table for p <= 4, 0 <= q <= n."""
-    return dict(spectral_tables(n).e3)
+    return spectral_tables(n).e3
 
 
 def poincare_f2_spectral(n: int) -> IntPolynomial:
@@ -223,104 +223,63 @@ class EnBasisElement:
 Combination = FrozenSet[EnBasisElement]
 
 
-class EnAlgebra:
-    """The bigraded algebra on symbols z_i g_A (i outside A).
-
-    Grade 2 is read off the disjoint relations r_A (module docstring):
-    its representatives are the z_i^2 g_B with i < max B, so products
-    reduce canonically.  The only nonzero products besides the unit are
-    (z_i g_A)(z_i g_B) = [z_i^2 g_{A union B}] for disjoint A, B.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("rank must be nonnegative")
-        self.n = n
-        self.unit = EnBasisElement(0, 0, 0)
-        self._grade1: List[EnBasisElement] = []
-        self._reps: Dict[int, List[EnBasisElement]] = {}
-        by_size = _positions(n)[0]
-        for q in range(n + 1):
-            symbols = [
-                EnBasisElement(1, i, mask)
-                for i in range(1, n + 1)
-                for mask in by_size[q]
-                if not (mask >> (i - 1)) & 1
-            ]
-            self._grade1.extend(symbols)
-            self._reps[q] = [
-                EnBasisElement(2, e.z_index, e.g_mask)
-                for e in symbols
-                if e.g_mask >> e.z_index
-            ]
-
-    def basis(self) -> List[EnBasisElement]:
-        out = [self.unit]
-        out.extend(self._grade1)
-        for q in range(self.n + 1):
-            out.extend(self._reps[q])
-        return out
-
-    def dims(self) -> Dict[Tuple[int, int], int]:
-        table: Dict[Tuple[int, int], int] = {(0, 0): 1}
-        for e in self._grade1:
-            key = e.bidegree
-            table[key] = table.get(key, 0) + 1
-        for q in range(self.n + 1):
-            if self._reps[q]:
-                table[(2, q)] = len(self._reps[q])
-        return table
-
-    def reduce_grade2(self, i: int, mask: int) -> Combination:
-        """Class of the monomial z_i^2 g_mask in the reduced basis: the
-        monomial itself when i < max(mask), otherwise the other terms of
-        the relation r_{mask union i} (none when mask is empty)."""
-        own = self._terms(EnBasisElement(2, i, mask))
-        if mask >> i:
-            return own
-        full = mask | 1 << (i - 1)
-        return frozenset(EnBasisElement(2, j, full ^ 1 << (j - 1))
-                         for j in _mask_to_set(mask))
-
-    def _term_product(self, a: EnBasisElement, b: EnBasisElement) -> Combination:
-        if a.grade == 0:
-            return frozenset({b})
-        if b.grade == 0:
-            return frozenset({a})
-        if a.grade == 1 and b.grade == 1:
-            if a.z_index == b.z_index and not a.g_mask & b.g_mask:
-                return self.reduce_grade2(a.z_index, a.g_mask | b.g_mask)
-        return frozenset()
-
-    def multiply(
-        self,
-        u: Union[EnBasisElement, Iterable[EnBasisElement]],
-        v: Union[EnBasisElement, Iterable[EnBasisElement]],
-    ) -> Combination:
-        """Bilinear product of characteristic-2 combinations."""
-        acc: set = set()
-        right = self._terms(v)
-        for a in self._terms(u):
-            for b in right:
-                acc ^= self._term_product(a, b)
-        return frozenset(acc)
-
-    def _terms(self, u: Union[EnBasisElement, Iterable[EnBasisElement]]) -> Combination:
-        """u as a set of terms, each checked to use only symbols of rank n."""
-        terms = frozenset({u}) if isinstance(u, EnBasisElement) else frozenset(u)
-        for t in terms:
-            if t.z_index > self.n or t.g_mask >> self.n:
-                raise ValueError(f"{t} is not an element of the algebra for n={self.n}")
-        return terms
+def _pairs(n: int) -> Iterator[Tuple[int, List[Tuple[int, int]]]]:
+    """Yield (q, pairs) for q = 0 .. n: the pairs (i, mask) with |mask| = q
+    and i not in mask, i first, then masks ascending."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    by_size = _positions(n)[0]
+    for q in range(n + 1):
+        yield q, [(i, mask) for i in range(1, n + 1)
+                  for mask in by_size[q] if not mask >> (i - 1) & 1]
 
 
-@lru_cache(maxsize=None)
-def _en_algebra(n: int) -> EnAlgebra:
-    return EnAlgebra(n)
+def _represents(i: int, mask: int) -> bool:
+    """z_i^2 g_mask is a grade-2 representative: i < max(mask)."""
+    return mask >> i != 0
 
 
 def en_basis(n: int) -> List[EnBasisElement]:
-    return _en_algebra(n).basis()
+    """The unit, every symbol z_i g_A, then the grade-2 representatives."""
+    grade1: List[EnBasisElement] = []
+    grade2: List[EnBasisElement] = []
+    for _, pairs in _pairs(n):
+        grade1 += [EnBasisElement(1, i, mask) for i, mask in pairs]
+        grade2 += [EnBasisElement(2, i, mask) for i, mask in pairs if _represents(i, mask)]
+    return [EnBasisElement(0, 0, 0)] + grade1 + grade2
+
+
+def en_dims(n: int) -> Dict[Tuple[int, int], int]:
+    """Dimension of the algebra in each nonzero bidegree, counted from
+    the pairs that ``en_basis`` wraps."""
+    counts = {(0, 0): 1}
+    for q, pairs in _pairs(n):
+        counts[(1, q)] = len(pairs)
+        counts[(2, q)] = sum(1 for i, mask in pairs if _represents(i, mask))
+    return {key: counts[key] for key in sorted(counts) if counts[key]}
+
+
+def _terms(n: int, u: Union[EnBasisElement, Iterable[EnBasisElement]]) -> Combination:
+    """u as a set of terms, each checked to use only symbols of rank n."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    terms = frozenset({u}) if isinstance(u, EnBasisElement) else frozenset(u)
+    for t in terms:
+        if t.z_index > n or t.g_mask >> n:
+            raise ValueError(f"{t} is not an element of the algebra for n={n}")
+    return terms
+
+
+def reduce_grade2(n: int, i: int, mask: int) -> Combination:
+    """Class of the monomial z_i^2 g_mask in the reduced basis: the
+    monomial itself when i < max(mask), otherwise the other terms of
+    the relation r_{mask union i} (none when mask is empty)."""
+    own = _terms(n, EnBasisElement(2, i, mask))
+    if _represents(i, mask):
+        return own
+    full = mask | 1 << (i - 1)
+    return frozenset(EnBasisElement(2, j, full ^ 1 << (j - 1))
+                     for j in _mask_to_set(mask))
 
 
 def en_multiply(
@@ -328,7 +287,19 @@ def en_multiply(
     u: Union[EnBasisElement, Iterable[EnBasisElement]],
     v: Union[EnBasisElement, Iterable[EnBasisElement]],
 ) -> Combination:
-    return _en_algebra(n).multiply(u, v)
+    """Bilinear product of characteristic-2 combinations.  The only
+    nonzero products besides the unit are
+    (z_i g_A)(z_i g_B) = [z_i^2 g_{A union B}] for disjoint A, B."""
+    acc: set = set()
+    right = _terms(n, v)
+    for a in _terms(n, u):
+        for b in right:
+            if a.grade == 0 or b.grade == 0:
+                acc ^= {b if a.grade == 0 else a}
+            elif (a.grade == b.grade == 1 and a.z_index == b.z_index
+                  and not a.g_mask & b.g_mask):
+                acc ^= reduce_grade2(n, a.z_index, a.g_mask | b.g_mask)
+    return frozenset(acc)
 
 
 @dataclass(frozen=True)
@@ -341,7 +312,7 @@ class EnComparison:
 
 
 def en_vs_e3(n: int) -> EnComparison:
-    algebra_dims = _en_algebra(n).dims()
+    algebra_dims = en_dims(n)
     page_dims = e3_dims(n)
     rows = []
     ok = True

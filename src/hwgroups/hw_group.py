@@ -396,6 +396,8 @@ def center_probe(n: int, r: int,
     """
     if n < 2:
         raise ValueError("center probe needs n >= 2")
+    if r < 1:
+        raise ValueError("radius must be at least 1")
     gens = [generator(n, i) for i in range(1, n + 1)]
     found: List[GroupElement] = []
     e = identity(n)

@@ -250,6 +250,26 @@ def test_ranks_refuses_oversized_fields_by_the_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_ranks_refuses_a_huge_n_before_computing():
+    # commutator_rank >= 2^(n-1), which alone has more digits than the limit
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        code, out, err = run_cli("ranks", "--n", "1000000000", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: n=1000000000: commutator_rank has more than {limit} "
+                       "digits, the limit of sys.get_int_max_str_digits()\n")
+    # a limit of 0 means no limit
+    try:
+        sys.set_int_max_str_digits(0)
+        code, out, err = run_cli("ranks", "--n", "14300")
+        assert (code, err) == (0, "")
+        assert "kernel_rank_h" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_probe_commands_find_nothing():
     code, out, _ = run_cli("probe", "torsion", "--n", "2",
                            "--radius", "3", "--kmax", "6")
@@ -375,6 +395,7 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
      "ball budget must be at least 1, since it counts the identity; got -5"),
     (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "2", "--budget", "0"),
      "ball budget must be at least 1, since it counts the identity; got 0"),
+    (("probe", "center", "--n", "2", "--radius", "0"), "radius must be at least 1"),
 ])
 def test_refusals_name_their_bound(argv, message, tmp_path):
     files = _set_files(tmp_path)

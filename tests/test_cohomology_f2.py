@@ -8,16 +8,17 @@ import pytest
 from hwgroups.exact_algebra import IntPolynomial
 from hwgroups.cohomology_f2 import (
     P_MAX,
-    EnAlgebra,
     EnBasisElement,
     d2_rows,
     e3_dims,
     en_basis,
+    en_dims,
     en_multiply,
     en_vs_e3,
     lemma_f_parts,
     poincare_f2_closed,
     poincare_f2_spectral,
+    reduce_grade2,
     spectral_tables,
 )
 from spectral_reference import E2Monomial, d2, d2_block, e2_basis, f2_reduce, f2_rref
@@ -232,12 +233,11 @@ EN_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(EN_DIGESTS))
 def test_en_basis_and_grade2_classes_are_pinned(n):
-    algebra = EnAlgebra(n)
     lines = [str(e) for e in en_basis(n)]
     for i in range(1, n + 1):
         for mask in range(1 << n):
             if not mask >> (i - 1) & 1:
-                cls = algebra.reduce_grade2(i, mask)
+                cls = reduce_grade2(n, i, mask)
                 lines.append(f"z{i}^2 g{mask}: " + " + ".join(sorted(map(str, cls))))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EN_DIGESTS[n]
 
@@ -262,7 +262,6 @@ def _grade2_echelon(n, q):
 
 @pytest.mark.parametrize("n", range(11))
 def test_grade2_read_off_matches_elimination(n):
-    algebra = EnAlgebra(n)
     reps = []
     for q in range(n + 1):
         monos, pivots = _grade2_echelon(n, q)
@@ -274,12 +273,31 @@ def test_grade2_read_off_matches_elimination(n):
                 low = reduced & -reduced
                 expected.add(EnBasisElement(2, *monos[low.bit_length() - 1]))
                 reduced ^= low
-            assert algebra.reduce_grade2(i, mask) == expected, (i, mask)
-    assert [e for e in algebra.basis() if e.grade == 2] == reps
+            assert reduce_grade2(n, i, mask) == expected, (i, mask)
+    assert [e for e in en_basis(n) if e.grade == 2] == reps
     # symbols inside their subset or outside rank n are refused
     for i, mask in ((1, 0b1), (0, 0), (n + 1, 0), (1, 1 << n)):
         with pytest.raises(ValueError):
-            algebra.reduce_grade2(i, mask)
+            reduce_grade2(n, i, mask)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_en_dims_counts_the_basis(n):
+    tally = {}
+    for e in en_basis(n):
+        tally[e.bidegree] = tally.get(e.bidegree, 0) + 1
+    assert en_dims(n) == tally
+
+
+def test_results_do_not_depend_on_an_earlier_caller():
+    # a caller that edits the tables it was handed must not change what
+    # later calls compute
+    spectral_tables(4).e3[(0, 0)] = 99
+    e3_dims(4)[(1, 0)] = 99
+    assert poincare_f2_spectral(4) == poincare_f2_closed(4)
+    comparison = en_vs_e3(4)
+    assert comparison.ok
+    assert comparison.rows[0] == (0, 0, 1, 1)
 
 
 def test_en_element_validation():
