@@ -255,7 +255,7 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
         raise ValueError("mod-2 congruence is only claimed for even n")
     rational = cohomology_q.poincare_q_closed(args.n)
     modular = cohomology_f2.poincare_f2_closed(args.n)
-    congruent = cohomology_q.mod2_compare(args.n)
+    congruent = cohomology_q.congruent_mod2(rational, modular)
     record = {
         "n": args.n,
         "rational": list(rational.coeffs),

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
-from .exact_algebra import IntPolynomial, VerificationError
+from .exact_algebra import IntPolynomial, VerificationError, binomial_power
 
 __all__ = [
     "d2_rows",
@@ -166,7 +166,7 @@ def poincare_f2_closed(n: int) -> IntPolynomial:
         return IntPolynomial((1,))
     x = IntPolynomial.x()
     one = IntPolynomial((1,))
-    return (one + x) * (one + (n - 1) * x * (one + x) ** (n - 1))
+    return (one + x) * (one + (n - 1) * x * binomial_power(n - 1))
 
 
 def lemma_f_parts(n: int) -> Tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
@@ -175,10 +175,10 @@ def lemma_f_parts(n: int) -> Tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
         raise ValueError("column parts need rank at least 1")
     x = IntPolynomial.x()
     one = IntPolynomial((1,))
-    b = (one + x) ** (n - 1)
+    b = binomial_power(n - 1)
     f0 = one
     f1 = n * x * b
-    f2 = n * x * x * b - x * ((one + x) ** n - one)
+    f2 = n * x * x * b - x * (binomial_power(n) - one)
     return f0, f1, f2
 
 
@@ -250,12 +250,23 @@ def en_basis(n: int) -> List[EnBasisElement]:
 
 
 def en_dims(n: int) -> Dict[Tuple[int, int], int]:
-    """Dimension of the algebra in each nonzero bidegree, counted from
-    the pairs that ``en_basis`` wraps."""
+    """Dimension of the algebra in each nonzero bidegree, counted mask
+    by mask without building the basis.  A mask A with |A| = q carries
+    the n - q symbols z_i g_A with i not in A, and A.bit_length() - q
+    grade-2 representatives: the i not in A below max A, which are the
+    i for which ``_represents(i, A)`` holds."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    grade1 = [0] * (n + 1)
+    grade2 = [0] * (n + 1)
+    for mask in range(1 << n):
+        q = mask.bit_count()
+        grade1[q] += n - q
+        grade2[q] += mask.bit_length() - q
     counts = {(0, 0): 1}
-    for q, pairs in _pairs(n):
-        counts[(1, q)] = len(pairs)
-        counts[(2, q)] = sum(1 for i, mask in pairs if _represents(i, mask))
+    for q in range(n + 1):
+        counts[(1, q)] = grade1[q]
+        counts[(2, q)] = grade2[q]
     return {key: counts[key] for key in sorted(counts) if counts[key]}
 
 

@@ -3,7 +3,11 @@
 Every wedge monomial g_A spans a one-dimensional module on which the
 generator x_j acts by the sign (-1)^(|A| - [j in A]); the Poincare
 polynomial is the subset sum of the h^0/h^1 contributions of these
-characters.  The closed form of the same sum has half-integer
+characters.  The sum runs on subset bitmasks: the -1 positions of the
+character of g_A are A itself for even |A| and its complement for odd
+|A|, so each term is read off the weight of one int.  ``Character``,
+``h0``, ``h1`` and ``h1_oracle`` give the same values on the explicit
+sign vectors.  The closed form of the same sum has half-integer
 intermediates; it is expanded at twice its value over the integers and
 must halve exactly.
 """
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .exact_algebra import IntPolynomial, VerificationError, rational_rank
-from .cohomology_f2 import _mask_to_set, poincare_f2_closed
+from .exact_algebra import IntPolynomial, VerificationError, binomial_power, rational_rank
+from .cohomology_f2 import poincare_f2_closed
 
 __all__ = [
     "Character",
@@ -27,6 +31,7 @@ __all__ = [
     "poincare_q_spectral",
     "poincare_q_closed",
     "mod2_compare",
+    "congruent_mod2",
     "DEFAULT_SUBSET_LIMIT",
 ]
 
@@ -70,16 +75,23 @@ def trivial_character(n: int) -> Character:
     return Character((1,) * n)
 
 
+def _minus_positions(full: int, mask: int) -> int:
+    """The -1 entries of the character of g_mask as a bitmask (bit j-1
+    for x_j): mask itself when |mask| is even, full ^ mask when odd,
+    where full has the n low bits set."""
+    return full ^ mask if mask.bit_count() & 1 else mask
+
+
 def wedge_character(n: int, subset: Iterable[int]) -> Character:
     """Character of the wedge monomial g_A: entry j is
     (-1)^(|A|+1) on A and (-1)^|A| off A."""
-    members = set(subset)
-    for i in members:
+    mask = 0
+    for i in set(subset):
         if not 1 <= i <= n:
             raise ValueError(f"subset member {i} out of range for rank {n}")
-    size = len(members)
-    base = -1 if size % 2 else 1
-    return Character(tuple(-base if j in members else base for j in range(1, n + 1)))
+        mask |= 1 << (i - 1)
+    minus = _minus_positions((1 << n) - 1, mask)
+    return Character(tuple(-1 if minus >> j & 1 else 1 for j in range(n)))
 
 
 def h0(eps: Character) -> int:
@@ -118,8 +130,11 @@ def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Int
     """Poincare polynomial as the sum over all 2^n wedge characters.
 
     Column p contributes x^p * x^|A| * h^p of the character of g_A, and
-    columns p > 1 vanish, so the sum has 2^(n+1) terms.  Guarded by
-    subset_limit since the term count is exponential.
+    columns p > 1 vanish.  Each mask A is one term, read off the bitmask
+    m of the character's -1 positions: h^0 = 1 when m = 0, and otherwise
+    h^1 = |m| - 1, the values ``h0`` and ``h1`` give on the explicit
+    character.  Guarded by subset_limit since the term count is
+    exponential.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
@@ -127,14 +142,14 @@ def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Int
         raise ValueError(
             f"rank {n} exceeds the subset-sum guard {subset_limit}; "
             "raise subset_limit explicitly to force this")
+    full = (1 << n) - 1
     coeffs = [0] * (n + 2)
     for mask in range(1 << n):
-        size = mask.bit_count()
-        eps = wedge_character(n, _mask_to_set(mask))
-        coeffs[size] += h0(eps)
-        h = h1(eps)
-        if h:
-            coeffs[size + 1] += h
+        minus = _minus_positions(full, mask)
+        if minus:
+            coeffs[mask.bit_count() + 1] += minus.bit_count() - 1
+        else:
+            coeffs[mask.bit_count()] += 1
     return IntPolynomial(tuple(coeffs))
 
 
@@ -151,7 +166,7 @@ def poincare_q_closed(n: int) -> IntPolynomial:
     if n == 0:
         return IntPolynomial((1,))
     x = IntPolynomial.x()
-    mix = (n - 2) * (1 + x) ** (n - 1) - n * (1 - x) ** (n - 1)
+    mix = (n - 2) * binomial_power(n - 1) - n * binomial_power(n - 1, -1)
     twice = (1 + x) * (2 + 2 * (n % 2) * x ** n + x * mix)
     odd = [c for c in twice.coeffs if c % 2]
     if odd:
@@ -163,9 +178,9 @@ def mod2_compare(n: int) -> bool:
     """Coefficientwise congruence mod 2 of the two closed forms (even n only)."""
     if n % 2:
         raise ValueError("the mod-2 congruence is claimed for even rank only")
-    a = poincare_q_closed(n)
-    b = poincare_f2_closed(n)
-    width = max(len(a.coeffs), len(b.coeffs))
-    return all(
-        (a.coefficient(k) - b.coefficient(k)) % 2 == 0 for k in range(width)
-    )
+    return congruent_mod2(poincare_q_closed(n), poincare_f2_closed(n))
+
+
+def congruent_mod2(a: IntPolynomial, b: IntPolynomial) -> bool:
+    """Whether a and b agree coefficientwise mod 2."""
+    return all(c % 2 == 0 for c in (a - b).coeffs)

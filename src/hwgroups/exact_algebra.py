@@ -1,7 +1,7 @@
 """Exact arithmetic substrate.
 
-Integer polynomials, Smith normal form over Z, and exact linear algebra
-over Q.  No GF(2) elimination is needed anywhere: the spectral sequence
+Integer polynomials with their binomial rows (1 +- x)^m, Smith normal
+form over Z, and exact linear algebra over Q.  No GF(2) elimination is needed anywhere: the spectral sequence
 has monomial d_2 blocks, ranked by counting distinct columns, and the
 bigraded algebra has relations with disjoint supports, both in
 ``cohomology_f2``.  Everything here is pure and allocation-cheap; no
@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple, Union
 
 __all__ = [
     "IntPolynomial",
+    "binomial_power",
     "IntMatrix",
     "smith_normal_form",
     "rational_rank",
@@ -142,6 +143,20 @@ class IntPolynomial:
                 else:
                     parts.append(f"{c}*{xk}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def binomial_power(m: int, sign: int = 1) -> IntPolynomial:
+    """(1 + sign x)^m for sign +1 or -1, read off row m of Pascal's
+    triangle by C(m, k+1) = C(m, k) (m - k) / (k + 1): m exact steps
+    instead of the m polynomial products of ``(1 + x) ** m``."""
+    if m < 0:
+        raise ValueError("negative polynomial power")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    coeffs = [1]
+    for k in range(m):
+        coeffs.append(coeffs[-1] * sign * (m - k) // (k + 1))
+    return IntPolynomial(tuple(coeffs))
 
 
 def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:

@@ -3,10 +3,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwgroups.exact_algebra import IntPolynomial
 from hwgroups.cohomology_q import (
+    _minus_positions,
     Character,
+    congruent_mod2,
     h0,
     h1,
     h1_oracle,
@@ -76,12 +79,46 @@ def test_h1_oracle_matches_case_formula():
         h1_oracle(3, Character((1, -1)))
 
 
+def _mask_members(mask):
+    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _check_mask_term(n, mask, oracle=False):
+    # the term poincare_q_spectral adds for g_A, read off the bitmask of
+    # -1 positions, against the character spelled out from its
+    # definition and against wedge_character
+    members = _mask_members(mask)
+    minus = _minus_positions((1 << n) - 1, mask)
+    term_h0 = 1 if minus == 0 else 0
+    term_h1 = minus.bit_count() - 1 if minus else 0
+    size = len(members)
+    eps = Character(tuple((-1) ** (size + 1) if j in members else (-1) ** size
+                          for j in range(1, n + 1)))
+    assert wedge_character(n, members) == eps
+    assert (term_h0, term_h1) == (h0(eps), h1(eps))
+    if oracle:
+        assert term_h1 == h1_oracle(n, eps)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_mask_terms_match_the_characters(n):
+    for mask in range(1 << n):
+        _check_mask_term(n, mask, oracle=n <= 6)
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(9, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mask_terms_match_the_characters_beyond_exhaustive_ranks(case):
+    _check_mask_term(*case)
+
+
 def test_poincare_q_values():
     assert poincare_q_spectral(2) == IntPolynomial((1, 0, 0, 1))
     assert poincare_q_closed(3) == IntPolynomial((1, 0, 3, 4))
     assert poincare_q_closed(0) == IntPolynomial((1,))
     assert poincare_q_closed(1) == IntPolynomial((1, 1))
-    for n in range(11):
+    for n in range(17):
         assert poincare_q_spectral(n) == poincare_q_closed(n)
 
 
@@ -106,3 +143,5 @@ def test_mod2_congruence():
             assert (rational.coefficient(k) - modular.coefficient(k)) % 2 == 0
     with pytest.raises(ValueError):
         mod2_compare(3)
+    assert congruent_mod2(IntPolynomial((1, 3)), IntPolynomial((3, 1, 2)))
+    assert not congruent_mod2(IntPolynomial((1, 3)), IntPolynomial((1, 3, 1)))

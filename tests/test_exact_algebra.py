@@ -7,11 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hwgroups
 from hwgroups.exact_algebra import (
     IntMatrix,
     IntPolynomial,
+    binomial_power,
     rational_rank,
     smith_normal_form,
     solve_rational,
@@ -76,6 +78,26 @@ def test_poly_helpers_agree_with_class():
     assert a(5) == 86
     for v in (-2, 0, 3):
         assert (a * b)(v) == a(v) * b(v)
+
+
+def test_binomial_power_equals_repeated_products():
+    x = IntPolynomial.x()
+    for sign in (1, -1):
+        for m in range(61):
+            assert binomial_power(m, sign) == (1 + sign * x) ** m
+    with pytest.raises(ValueError):
+        binomial_power(-1)
+    with pytest.raises(ValueError):
+        binomial_power(3, 2)
+
+
+@settings(derandomize=True, database=None)
+@given(m=st.integers(0, 400), sign=st.sampled_from((1, -1)),
+       v=st.integers(-5, 5))
+def test_binomial_power_evaluates_to_the_integer_power(m, sign, v):
+    row = binomial_power(m, sign)
+    assert row.degree == m
+    assert row(v) == (1 + sign * v) ** m
 
 
 def _reference_rank(rows, n_cols):
