@@ -1,11 +1,11 @@
 """Exact arithmetic substrate.
 
 Integer polynomials with their binomial rows (1 +- x)^m, Smith normal
-form over Z, and exact linear algebra over Q.  No GF(2) elimination is needed anywhere: the spectral sequence
-has monomial d_2 blocks, ranked by counting distinct columns, and the
-bigraded algebra has relations with disjoint supports, both in
-``cohomology_f2``.  Everything here is pure and allocation-cheap; no
-floating point is used anywhere.
+form over Z, and exact linear algebra over Q.  No GF(2) elimination is
+needed anywhere: the spectral sequence has monomial d_2 blocks, ranked
+by counting distinct columns, and the bigraded algebra has relations
+with disjoint supports, both in ``cohomology_f2``.  Everything here is
+pure and allocation-cheap; no floating point is used anywhere.
 """
 
 from __future__ import annotations
