@@ -12,11 +12,14 @@ extended as a derivation in characteristic 2 with d_2(z_i) = 0:
 Every codomain monomial is hit by at most one domain monomial, so each
 nonzero row of a d_2 block is a unit vector: these are monomial d_2
 blocks, ranked by counting distinct columns (``d2_rows`` yields each
-row's single column).  All page dimensions are exact F_2 ranks of these
-blocks, each built and ranked on its own.  The third page is final
-and vanishes in columns p > 2; columns 3 and 4 are materialized and
-checked to vanish (a VerificationError otherwise), with the z-linearity
-of d_2 as the periodicity witness for higher columns.
+row's single column).  d_2 is z-linear, so every block with p >= 1
+has the same columns: each q scans its codomain once, for the p = 0
+block and the one p >= 1 block, and every block is still yielded,
+ranked and checked.  All page dimensions are exact F_2 ranks of these
+blocks.  The third page is final and vanishes in columns p > 2;
+columns 3 and 4 are materialized and checked to vanish (a
+VerificationError otherwise), with the z-linearity of d_2 as the
+periodicity witness for higher columns.
 
 The bigraded algebra (``en_basis``, ``en_multiply``) presents the final
 page.  Its grade 2 is spanned by the z_i^2 g_B modulo the relations
@@ -85,21 +88,36 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
     g_(B+i), or z_i^p g_(B+i).  cols lists that column for each nonzero
     row; the zero rows, i in B, are left out.  The rank of the block
     over F_2 is therefore len(set(cols)).
+
+    d_2 is z-linear, so the blocks for p = 1 .. P_MAX have the same
+    cols: that list and the p = 0 one are built once per q from one
+    codomain scan, and each p >= 1 block is yielded as its own copy, so
+    no two yielded lists are the same object.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_size, pos = _positions(n)
+    bottom: List[List[int]] = []
+    z_linear: List[List[int]] = []
+    for q in range(n + 2):
+        width = len(by_size[q])
+        flat: List[int] = []
+        shifted: List[int] = []
+        if q:
+            for i in range(n):
+                bit = 1 << i
+                hit = [pos[b | bit] for b in by_size[q - 1] if not b & bit]
+                flat += hit
+                shifted += map((i * width).__add__, hit)
+        bottom.append(flat)
+        z_linear.append(shifted)
     for p in range(P_MAX + 1):
         for q in range(n + 2):
             width = len(by_size[q])
-            cols = []
-            if q:
-                for i in range(n):
-                    bit = 1 << i
-                    base = i * width if p else 0
-                    cols.extend(base + pos[b | bit]
-                                for b in by_size[q - 1] if not b & bit)
-            yield p, q, width * n if p else width, cols
+            if p:
+                yield p, q, width * n, list(z_linear[q])
+            else:
+                yield p, q, width, bottom[q]
 
 
 @dataclass(frozen=True)

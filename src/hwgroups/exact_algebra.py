@@ -111,11 +111,18 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPolynomial":
+        """self^k by repeated squaring (TAOCP 2, 4.6.3): about log2(k)
+        squarings and as many products with the running result."""
         if k < 0:
             raise ValueError("negative polynomial power")
         out = IntPolynomial((1,))
-        for _ in range(k):
-            out = out * self
+        square = self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def __call__(self, value):

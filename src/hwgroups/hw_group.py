@@ -367,25 +367,23 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
 
 def torsion_probe(n: int, r: int, kmax: int,
                   budget: int = DEFAULT_BALL_BUDGET) -> List[Tuple[GroupElement, int]]:
-    """Nontrivial ball elements with g^k = identity for some k <= kmax.
+    """Nontrivial ball elements with g^k = identity for some k <= kmax,
+    each paired with its order.
 
-    Expected empty: the groups are torsion free.  Powers are accumulated
-    incrementally, so the cost is one multiply per (element, k) pair.
+    Expected empty: the groups are torsion free.  A nontrivial g = tau(t) w
+    has finite order exactly when g^2 = e.  In the free product of copies
+    of Z_2 an element of finite order is trivial or conjugate to a
+    generator (Lyndon and Schupp, ch. IV), so g^k = e forces w^2 = e and
+    g^2 = tau(v) in the lattice.  If v != 0 no power of g is e: the even
+    powers are tau(m v), and the odd powers keep the word w, or are
+    tau(k t) when w is empty.  So the order of a torsion element is 2,
+    and the probe costs one multiply per element, whatever kmax is.
     """
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
-    found: List[Tuple[GroupElement, int]] = []
     e = identity(n)
-    for g in sorted(ball(n, r, budget), key=element_sort_key):
-        if g == e:
-            continue
-        acc = g
-        for k in range(2, kmax + 1):
-            acc = multiply(acc, g)
-            if acc == e:
-                found.append((g, k))
-                break
-    return found
+    return [(g, 2) for g in sorted(ball(n, r, budget), key=element_sort_key)
+            if kmax >= 2 and g != e and multiply(g, g) == e]
 
 
 def center_probe(n: int, r: int,

@@ -286,6 +286,15 @@ def test_probe_commands_find_nothing():
     assert payload["findings"] == []
 
 
+def test_torsion_probe_answers_a_huge_kmax_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli("probe", "torsion", "--n", "2", "--radius", "2",
+                             "--kmax", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == "probe=torsion n=2 radius=2 kmax=100000000 findings: 0\n"
+
+
 def test_probe_budget_guard_exits_2():
     code, _, err = run_cli("probe", "center", "--n", "3", "--radius", "6",
                            "--budget", "10")

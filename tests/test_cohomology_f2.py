@@ -115,6 +115,21 @@ def test_sparse_blocks_match_the_symbolic_reference():
             assert len(set(cols)) == len(f2_rref(block.rows))
 
 
+def test_editing_a_yielded_block_leaves_later_blocks_unchanged():
+    # the p >= 1 blocks of one q are built once; each yield is its own list
+    for n in range(8):
+        expected = [(p, q, n_cols, list(cols)) for p, q, n_cols, cols in d2_rows(n)]
+        for index, (p, q, n_cols, cols) in enumerate(d2_rows(n)):
+            assert (p, q, n_cols, cols) == expected[index]
+            cols.append(n_cols)
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_spectral_series_beyond_the_digests(n):
+    assert poincare_f2_spectral(n) == poincare_f2_closed(n)
+    assert en_vs_e3(n).ok
+
+
 # SHA-256 of the e2, z2, b2 and e3 tables of spectral_tables(n), one
 # "name p q value" line per entry in key order; recorded from the
 # symbolic block construction with bitset elimination.

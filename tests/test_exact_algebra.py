@@ -80,6 +80,19 @@ def test_poly_helpers_agree_with_class():
         assert (a * b)(v) == a(v) * b(v)
 
 
+@pytest.mark.parametrize("coeffs", [(), (1,), (-1,), (0, 1), (1, 1), (1, -1),
+                                    (3,), (2, 0, -3), (-1, 4, 0, 5)])
+def test_power_equals_the_k_fold_product(coeffs):
+    # __pow__ squares repeatedly; the oracle multiplies k times
+    p = IntPolynomial(coeffs)
+    product = IntPolynomial((1,))
+    for k in range(41):
+        assert p ** k == product
+        product = product * p
+    with pytest.raises(ValueError, match="negative"):
+        p ** -1
+
+
 def test_binomial_power_equals_repeated_products():
     x = IntPolynomial.x()
     for sign in (1, -1):

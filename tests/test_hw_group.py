@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from hwgroups import hw_group
 from hwgroups.exact_algebra import smith_normal_form
 from hwgroups.hw_group import (
+    DEFAULT_BALL_BUDGET,
     BallBudgetError,
     ElementSyntaxError,
     GroupElement,
@@ -16,6 +18,7 @@ from hwgroups.hw_group import (
     ball,
     center_probe,
     commutator,
+    element_sort_key,
     format_element,
     generator,
     identity,
@@ -247,6 +250,76 @@ def test_ball_budget_guard():
 def test_probes_find_nothing_small():
     assert torsion_probe(2, 3, 8) == []
     assert center_probe(2, 3) == []
+
+
+def torsion_by_powers(n, r, kmax, budget=DEFAULT_BALL_BUDGET):
+    """Oracle for torsion_probe: accumulate g^k for k = 2 .. kmax and
+    report the first k with g^k = e, one multiply per (element, k)."""
+    if r < 1 or kmax < 1:
+        raise ValueError("radius and exponent bound must be at least 1")
+    found = []
+    e = identity(n)
+    for g in sorted(ball(n, r, budget), key=element_sort_key):
+        if g == e:
+            continue
+        acc = g
+        for k in range(2, kmax + 1):
+            acc = hw_group.multiply(acc, g)
+            if acc == e:
+                found.append((g, k))
+                break
+    return found
+
+
+def _counting_multiply(monkeypatch, fake_square=None):
+    """Count hw_group.multiply calls; optionally pretend fake_square^2 = e."""
+    calls = []
+    real = hw_group.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        if fake_square is not None and a == b == fake_square:
+            return identity(a.n)
+        return real(a, b)
+
+    monkeypatch.setattr(hw_group, "multiply", counted)
+    return calls
+
+
+# largest radius checked per rank; the balls hold at most 385 elements
+TORSION_RADII = {0: 4, 1: 4, 2: 4, 3: 3, 4: 3}
+
+
+@pytest.mark.parametrize("n", sorted(TORSION_RADII))
+def test_torsion_by_the_order_lemma_matches_the_power_search(n, monkeypatch):
+    calls = _counting_multiply(monkeypatch)
+    for r in range(1, TORSION_RADII[n] + 1):
+        nontrivial = len(ball(n, r)) - 1
+        for kmax in range(1, 13):
+            expected = torsion_by_powers(n, r, kmax)
+            del calls[:]
+            assert torsion_probe(n, r, kmax) == expected == []
+            # one square per nontrivial element, whatever kmax is
+            assert len(calls) == (nontrivial if kmax >= 2 else 0)
+
+
+def test_torsion_findings_have_order_two(monkeypatch):
+    # with x1^2 = e planted, both searches report x1 with order 2
+    x1 = generator(2, 1)
+    _counting_multiply(monkeypatch, fake_square=x1)
+    for kmax in range(1, 6):
+        expected = [(x1, 2)] if kmax >= 2 else []
+        assert torsion_by_powers(2, 2, kmax) == expected
+        assert torsion_probe(2, 2, kmax) == expected
+
+
+def test_torsion_probe_keeps_its_refusals():
+    for r, kmax in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            torsion_probe(2, r, kmax)
+    for kmax in (1, 2):
+        with pytest.raises(BallBudgetError):
+            torsion_probe(2, 2, kmax, budget=3)
 
 
 def test_rank_one_center_probe_rejected():
