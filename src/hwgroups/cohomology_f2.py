@@ -32,6 +32,7 @@ cached: every function recomputes its result from n.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
@@ -90,34 +91,31 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
     over F_2 is therefore len(set(cols)).
 
     d_2 is z-linear, so the blocks for p = 1 .. P_MAX have the same
-    cols: that list and the p = 0 one are built once per q from one
-    codomain scan, and each p >= 1 block is yielded as its own copy, so
-    no two yielded lists are the same object.
+    cols.  One codomain scan per q builds the p = 0 list, which is
+    yielded at once, and the shared p >= 1 columns, which are kept in a
+    machine-int array (8 bytes a column, where a list of ints costs
+    about 36) and yielded as a fresh list for each p, so no two yielded
+    lists are the same object.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_size, pos = _positions(n)
-    bottom: List[List[int]] = []
-    z_linear: List[List[int]] = []
+    z_linear: List[array] = []
     for q in range(n + 2):
         width = len(by_size[q])
-        flat: List[int] = []
-        shifted: List[int] = []
+        cols: List[int] = []
+        shifted = array("q")
         if q:
             for i in range(n):
                 bit = 1 << i
                 hit = [pos[b | bit] for b in by_size[q - 1] if not b & bit]
-                flat += hit
-                shifted += map((i * width).__add__, hit)
-        bottom.append(flat)
+                cols += hit
+                shifted.extend(map((i * width).__add__, hit))
         z_linear.append(shifted)
-    for p in range(P_MAX + 1):
-        for q in range(n + 2):
-            width = len(by_size[q])
-            if p:
-                yield p, q, width * n, list(z_linear[q])
-            else:
-                yield p, q, width, bottom[q]
+        yield 0, q, width, cols
+    for p in range(1, P_MAX + 1):
+        for q, shifted in enumerate(z_linear):
+            yield p, q, len(by_size[q]) * n, list(shifted)
 
 
 @dataclass(frozen=True)

@@ -297,7 +297,7 @@ def test_torsion_by_the_order_lemma_matches_the_power_search(n, monkeypatch):
         nontrivial = len(ball(n, r)) - 1
         for kmax in range(1, 13):
             expected = torsion_by_powers(n, r, kmax)
-            del calls[:]
+            calls.clear()
             assert torsion_probe(n, r, kmax) == expected == []
             # one square per nontrivial element, whatever kmax is
             assert len(calls) == (nontrivial if kmax >= 2 else 0)
