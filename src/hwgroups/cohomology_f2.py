@@ -32,7 +32,6 @@ cached: every function recomputes its result from n.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
 
@@ -92,25 +91,24 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
 
     d_2 is z-linear, so the blocks for p = 1 .. P_MAX have the same
     cols.  One codomain scan per q builds the p = 0 list, which is
-    yielded at once, and the shared p >= 1 columns, which are kept in a
-    machine-int array (8 bytes a column, where a list of ints costs
-    about 36) and yielded as a fresh list for each p, so no two yielded
-    lists are the same object.
+    yielded at once, and the shared p >= 1 list, which is kept and
+    yielded as a fresh copy for each p, so no two yielded lists are the
+    same object.  The kept lists hold n 2^(n-1) columns in all.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_size, pos = _positions(n)
-    z_linear: List[array] = []
+    z_linear: List[List[int]] = []
     for q in range(n + 2):
         width = len(by_size[q])
         cols: List[int] = []
-        shifted = array("q")
+        shifted: List[int] = []
         if q:
             for i in range(n):
                 bit = 1 << i
                 hit = [pos[b | bit] for b in by_size[q - 1] if not b & bit]
                 cols += hit
-                shifted.extend(map((i * width).__add__, hit))
+                shifted += map((i * width).__add__, hit)
         z_linear.append(shifted)
         yield 0, q, width, cols
     for p in range(1, P_MAX + 1):
