@@ -17,58 +17,36 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: polynomials, Smith normal form, rational solve.
+- ``exact_algebra``: polynomials, Smith normal form, rational rank.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 
 from __future__ import annotations
 
-from .cohomology_f2 import (
-    e3_dims,
-    en_basis,
-    en_multiply,
-    en_vs_e3,
-    poincare_f2_closed,
-    poincare_f2_spectral,
-)
-from .cohomology_q import (
-    h1,
-    h1_oracle,
-    mod2_compare,
-    poincare_q_closed,
-    poincare_q_spectral,
-    wedge_character,
-)
-from .crystal import (
-    AffineIsometry,
-    fixed_points,
-    gamma3_generators,
-    rn_action,
-    rn_isometry,
-    verify_hom_g2_gamma3,
-)
-from .exact_algebra import IntMatrix, IntPolynomial, smith_normal_form
-from .group_ring import (
-    RingElement,
-    parse_set_file,
-    product_tally,
-    ring_mul,
-    unique_product_witnesses,
-)
-from .hw_group import (
-    GroupElement,
-    abelianization_invariants,
-    abelianize,
-    ball,
-    format_element,
-    generator,
-    identity,
-    inverse,
-    multiply,
-    parse_element,
-    power,
-)
-from .quotient_w import commutator_rank, euler_wn, kernel_rank_h, psi, reduce_w
+import importlib
+
+# Each exported name and the module that defines it.  A name is imported
+# on first access (PEP 562), so a process loads only the modules it uses.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("cohomology_f2", ("e3_dims", "en_basis", "en_multiply", "en_vs_e3",
+                           "poincare_f2_closed", "poincare_f2_spectral")),
+        ("cohomology_q", ("h1", "h1_oracle", "mod2_compare", "poincare_q_closed",
+                          "poincare_q_spectral", "wedge_character")),
+        ("crystal", ("AffineIsometry", "fixed_points", "gamma3_generators",
+                     "rn_action", "rn_isometry", "verify_hom_g2_gamma3")),
+        ("exact_algebra", ("IntMatrix", "IntPolynomial", "smith_normal_form")),
+        ("group_ring", ("RingElement", "parse_set_file", "product_tally", "ring_mul",
+                        "unique_product_witnesses")),
+        ("hw_group", ("GroupElement", "abelianization_invariants", "abelianize", "ball",
+                      "format_element", "generator", "identity", "inverse", "multiply",
+                      "parse_element", "power")),
+        ("quotient_w", ("commutator_rank", "euler_wn", "kernel_rank_h", "psi",
+                        "reduce_w")),
+    )
+    for name in names
+}
 
 __version__ = "0.1.0"
 
@@ -76,49 +54,19 @@ __version__ = "0.1.0"
 # value, for callers that record which backend produced a result.
 F2_BACKEND = "pure"
 
-__all__ = [
-    "F2_BACKEND",
-    "__version__",
-    "AffineIsometry",
-    "GroupElement",
-    "IntMatrix",
-    "IntPolynomial",
-    "RingElement",
-    "abelianization_invariants",
-    "abelianize",
-    "ball",
-    "commutator_rank",
-    "e3_dims",
-    "en_basis",
-    "en_multiply",
-    "en_vs_e3",
-    "euler_wn",
-    "fixed_points",
-    "format_element",
-    "gamma3_generators",
-    "generator",
-    "h1",
-    "h1_oracle",
-    "identity",
-    "inverse",
-    "kernel_rank_h",
-    "mod2_compare",
-    "multiply",
-    "parse_element",
-    "parse_set_file",
-    "poincare_f2_closed",
-    "poincare_f2_spectral",
-    "poincare_q_closed",
-    "poincare_q_spectral",
-    "power",
-    "product_tally",
-    "psi",
-    "reduce_w",
-    "ring_mul",
-    "rn_action",
-    "rn_isometry",
-    "smith_normal_form",
-    "unique_product_witnesses",
-    "verify_hom_g2_gamma3",
-    "wedge_character",
-]
+__all__ = ["F2_BACKEND", "__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        # An AttributeError lets ``from hwgroups import cli`` fall back to
+        # importing the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

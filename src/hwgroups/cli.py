@@ -9,26 +9,43 @@ are byte-identical.  A command refuses an input by raising
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found), 2 usage or input
 errors.
+
+Each command imports the library modules it uses when it runs, so a
+process loads only those: ``nf`` needs ``hw_group`` alone, and
+``e3-table`` only ``cohomology_f2`` and ``exact_algebra``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import cohomology_f2, cohomology_q, crystal, group_ring, hw_group, quotient_w
-from .exact_algebra import IntPolynomial, VerificationError
-from .hw_group import BallBudgetError, ElementSyntaxError
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact_algebra import IntPolynomial
+    from .hw_group import GroupElement
 
 __all__ = ["main", "build_parser"]
 
 CLOSED_N_BOUND = 20
 SPECTRAL_N_BOUND = 12
+# The default --budget, equal to hw_group.DEFAULT_BALL_BUDGET (a test
+# checks this); defined here so that building the parser imports no
+# library module.
+DEFAULT_BALL_BUDGET = 10**6
+
+# A library exception and how main reports it: (module, class, stderr
+# prefix, exit code), most specific first.  A class is looked up only in
+# a module this process has imported; a module never imported raised
+# nothing.  Any other ValueError is reported as "error", exit code 2.
+ERRORS = (
+    ("hw_group", "ElementSyntaxError", "parse error", 2),
+    ("hw_group", "BallBudgetError", "resource guard", 2),
+    ("exact_algebra", "VerificationError", "verification failed", 1),
+)
 
 Result = Tuple[int, Dict, List[str]]
 
@@ -37,22 +54,30 @@ def _vector_str(vec: Sequence[Fraction]) -> str:
     return "(" + ",".join(str(v) for v in vec) + ")"
 
 
-def _element_result(g: hw_group.GroupElement) -> Result:
-    text = hw_group.format_element(g)
+def _element_result(g: GroupElement) -> Result:
+    from .hw_group import format_element
+
+    text = format_element(g)
     return 0, {"n": g.n, "w": list(g.w), "t": list(g.t), "text": text}, [text]
 
 
 def cmd_nf(args: argparse.Namespace) -> Result:
+    from . import hw_group
+
     return _element_result(hw_group.parse_element(args.word, args.n))
 
 
 def cmd_mul(args: argparse.Namespace) -> Result:
+    from . import hw_group
+
     a = hw_group.parse_element(args.left, args.n)
     b = hw_group.parse_element(args.right, args.n)
     return _element_result(hw_group.multiply(a, b))
 
 
 def cmd_inv(args: argparse.Namespace) -> Result:
+    from . import hw_group
+
     return _element_result(hw_group.inverse(hw_group.parse_element(args.word, args.n)))
 
 
@@ -65,9 +90,13 @@ def cmd_poincare(args: argparse.Namespace) -> Result:
             raise ValueError(f"n={args.n} exceeds the closed-form bound "
                              f"{CLOSED_N_BOUND} (pass --unsafe-large to force)")
     if args.field == "f2":
+        from . import cohomology_f2
+
         spectral_fn = cohomology_f2.poincare_f2_spectral
         closed_fn = cohomology_f2.poincare_f2_closed
     else:
+        from . import cohomology_q
+
         def spectral_fn(n: int) -> IntPolynomial:
             return cohomology_q.poincare_q_spectral(n, subset_limit=max(n, 16))
 
@@ -87,6 +116,8 @@ def cmd_poincare(args: argparse.Namespace) -> Result:
 
 
 def cmd_e3_table(args: argparse.Namespace) -> Result:
+    from . import cohomology_f2
+
     dims = cohomology_f2.e3_dims(args.n)
     keys = sorted(dims)
     record = {"n": args.n,
@@ -95,6 +126,8 @@ def cmd_e3_table(args: argparse.Namespace) -> Result:
 
 
 def cmd_en_basis(args: argparse.Namespace) -> Result:
+    from . import cohomology_f2
+
     basis = cohomology_f2.en_basis(args.n)
     record = {"n": args.n, "basis": [
         {"grade": e.grade, "p": e.bidegree[0], "q": e.bidegree[1], "symbol": str(e)}
@@ -104,6 +137,8 @@ def cmd_en_basis(args: argparse.Namespace) -> Result:
 
 
 def cmd_abelianization(args: argparse.Namespace) -> Result:
+    from . import hw_group
+
     factors = hw_group.abelianization_invariants(args.n)
     free_rank = args.n - len(factors)
     record = {"n": args.n, "invariant_factors": list(factors), "free_rank": free_rank}
@@ -114,6 +149,8 @@ def cmd_abelianization(args: argparse.Namespace) -> Result:
 
 
 def cmd_ranks(args: argparse.Namespace) -> Result:
+    from . import hw_group, quotient_w
+
     # commutator_rank >= 2^(n-1): refuse before building huge integers when
     # 2^(n-1) alone has more digits than str converts (0 means no limit).
     limit = sys.get_int_max_str_digits()
@@ -138,6 +175,8 @@ def cmd_ranks(args: argparse.Namespace) -> Result:
 
 
 def cmd_gamma3_verify(args: argparse.Namespace) -> Result:
+    from . import crystal
+
     report = crystal.verify_hom_g2_gamma3()
     ab_identity = report.relator_xy.is_identity()
     ba_identity = report.relator_yx.is_identity()
@@ -161,6 +200,8 @@ def cmd_gamma3_verify(args: argparse.Namespace) -> Result:
 
 
 def _parse_vector(text: str, n: int) -> List[Fraction]:
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != n:
         raise ValueError(f"vector needs {n} comma-separated entries")
@@ -182,6 +223,8 @@ def _parse_vector(text: str, n: int) -> List[Fraction]:
 
 
 def cmd_action(args: argparse.Namespace) -> Result:
+    from . import crystal, hw_group
+
     g = hw_group.parse_element(args.word, args.n)
     vec = _parse_vector(args.vector, args.n)
     out = [hw_group.decimal_text(v, f"output coordinate {k}")
@@ -196,6 +239,8 @@ def cmd_action(args: argparse.Namespace) -> Result:
 
 
 def cmd_probe(args: argparse.Namespace) -> Result:
+    from . import hw_group
+
     fmt = hw_group.format_element
     # Each finding is a pair (text line, JSON row).
     if args.kind == "torsion":
@@ -209,12 +254,16 @@ def cmd_probe(args: argparse.Namespace) -> Result:
                     for g in hw_group.center_probe(args.n, args.radius, args.budget)]
         meta = {"probe": "center", "n": args.n, "radius": args.radius}
     elif args.kind == "fixed-point":
+        from . import crystal
+
         findings = [(f"{fmt(g)} fixes {_vector_str(point)}",
                      {"element": fmt(g), "point": [str(v) for v in point]})
                     for g, point in crystal.fixed_point_probe(args.n, args.radius,
                                                               args.budget)]
         meta = {"probe": "fixed-point", "n": args.n, "radius": args.radius}
     else:
+        from . import crystal
+
         findings = [(f"{fmt(a)} collides with {fmt(b)}",
                      {"first": fmt(a), "second": fmt(b)})
                     for a, b in crystal.injectivity_probe(args.radius, args.budget)]
@@ -226,6 +275,10 @@ def cmd_probe(args: argparse.Namespace) -> Result:
 
 
 def cmd_up_check(args: argparse.Namespace) -> Result:
+    from pathlib import Path
+
+    from . import group_ring, hw_group
+
     try:
         x_text = Path(args.x_file).read_text(encoding="utf-8")
         y_text = Path(args.y_file).read_text(encoding="utf-8")
@@ -251,6 +304,8 @@ def cmd_up_check(args: argparse.Namespace) -> Result:
 
 
 def cmd_mod2_check(args: argparse.Namespace) -> Result:
+    from . import cohomology_f2, cohomology_q
+
     if args.n % 2:
         raise ValueError("mod-2 congruence is only claimed for even n")
     rational = cohomology_q.poincare_q_closed(args.n)
@@ -313,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = sub.add_parser("probe", help="structural probes").add_subparsers(
         dest="kind", required=True)
     radius = ("--radius", {"type": int, "required": True})
-    budget = ("--budget", {"type": int, "default": hw_group.DEFAULT_BALL_BUDGET})
+    budget = ("--budget", {"type": int, "default": DEFAULT_BALL_BUDGET})
     for name, summary, n_min, extra in (
         ("torsion", "torsion search in a ball", 1,
          [("--kmax", {"type": int, "required": True})]),
@@ -337,19 +392,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         code, record, lines = args.func(args)
-    except ElementSyntaxError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 2
-    except BallBudgetError as exc:
-        sys.stderr.write(f"resource guard: {exc}\n")
-        return 2
-    except VerificationError as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except Exception as exc:
+        for module, name, prefix, exit_code in ERRORS:
+            cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+            if cls is not None and isinstance(exc, cls):
+                sys.stderr.write(f"{prefix}: {exc}\n")
+                return exit_code
+        if not isinstance(exc, ValueError):
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.format == "json":
+        import json
+
         lines = [json.dumps(record, indent=2)]
     sys.stdout.write("".join(line + "\n" for line in lines))
     return code

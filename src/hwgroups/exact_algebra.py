@@ -1,7 +1,7 @@
 """Exact arithmetic substrate.
 
 Integer polynomials with their binomial rows (1 +- x)^m, Smith normal
-form over Z, and exact linear algebra over Q.  No GF(2) elimination is
+form over Z, and the rank of a matrix over Q.  No GF(2) elimination is
 needed anywhere: the spectral sequence has monomial d_2 blocks, ranked
 by counting distinct columns, and the bigraded algebra has relations
 with disjoint supports, both in ``cohomology_f2``.  Everything here is
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "IntPolynomial",
@@ -20,7 +21,6 @@ __all__ = [
     "IntMatrix",
     "smith_normal_form",
     "rational_rank",
-    "solve_rational",
     "VerificationError",
 ]
 
@@ -201,14 +201,30 @@ class IntMatrix:
 def smith_normal_form(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> Tuple[int, ...]:
     """Diagonal of the Smith normal form: nonnegative, d_k | d_{k+1}.
 
-    Classical pivot/reduce with smallest-nonzero-pivot selection.  Each
-    pass picks the entry of least absolute value in the remaining
-    submatrix, clears its row and column, and restarts whenever a
-    division leaves a remainder or a non-divisible entry is folded in;
-    the pivot's absolute value strictly decreases, so this terminates.
+    A matrix with at most one nonzero entry in each row and each column
+    is normalised by gcd and lcm (``_diagonal_smith_form``); any other
+    goes through the pivot loop (``_pivot_smith_form``).
     """
     if not isinstance(m, IntMatrix):
         m = IntMatrix(m)
+    size = min(m.n_rows, m.n_cols)
+    entries = _monomial_entries(m.entries)
+    if entries is not None:
+        return _diagonal_smith_form(entries, size)
+    return _pivot_smith_form(m)
+
+
+def _pivot_smith_form(m: IntMatrix) -> Tuple[int, ...]:
+    """Smith form by the classical pivot/reduce with
+    smallest-nonzero-pivot selection.
+
+    Each pass picks the entry of least absolute value in the remaining
+    submatrix, clears its row and column, and restarts whenever a
+    division leaves a remainder or a non-divisible entry is folded in;
+    the pivot's absolute value strictly decreases, so this terminates.
+    Every pass rescans the remaining submatrix, so an n x n input costs
+    O(n^3) even when it is diagonal.
+    """
     mat = [list(row) for row in m.entries]
     n_rows = m.n_rows
     n_cols = m.n_cols
@@ -251,6 +267,40 @@ def smith_normal_form(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> Tuple[int
             continue
         t += 1
     return tuple(mat[k][k] for k in range(size))
+
+
+def _monomial_entries(rows: Sequence[Sequence[int]]) -> Optional[List[int]]:
+    """Absolute values of the nonzero entries, or None when some row or
+    some column holds two of them."""
+    entries: List[int] = []
+    cols = set()
+    for row in rows:
+        nonzero = [j for j, v in enumerate(row) if v]
+        if nonzero:
+            j = nonzero[0]
+            if len(nonzero) > 1 or j in cols:
+                return None
+            cols.add(j)
+            entries.append(abs(row[j]))
+    return entries
+
+
+def _diagonal_smith_form(entries: List[int], size: int) -> Tuple[int, ...]:
+    """Smith form of a size-wide matrix whose nonzero entries, at most
+    one in each row and column, have the given absolute values.
+
+    Permuting rows and columns makes the matrix diagonal, and diag(a, b)
+    is equivalent to diag(gcd(a, b), lcm(a, b)).  Swapping each pair
+    i < j that way when d_i does not divide d_j leaves d_i dividing
+    every later entry once i is done, and later swaps keep it so: k
+    steps to fix d_i, each one a remainder test in the common case.
+    """
+    d = list(entries)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d) + (0,) * (size - len(d))
 
 
 def _min_nonzero(mat: List[List[int]], t: int, n_rows: int, n_cols: int):
@@ -303,27 +353,3 @@ def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     if not work:
         return 0
     return len(_gauss_jordan(work, len(work[0])))
-
-
-def solve_rational(
-    rows: Sequence[Sequence[Union[int, Fraction]]],
-    rhs: Sequence[Union[int, Fraction]],
-) -> List[Fraction] | None:
-    """One exact solution of A v = b, or None when inconsistent.
-
-    Underdetermined systems get free variables set to zero, so the
-    returned witness is deterministic.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match the row count")
-    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not work:
-        return []
-    n_cols = len(rows[0])
-    pivot_cols = _gauss_jordan(work, n_cols)
-    if any(row[n_cols] for row in work[len(pivot_cols):]):
-        return None
-    solution = [Fraction(0)] * n_cols
-    for k, col in enumerate(pivot_cols):
-        solution[col] = work[k][n_cols]
-    return solution

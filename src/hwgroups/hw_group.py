@@ -6,6 +6,10 @@ prod x_i^(2 t_i) on the RIGHT.  Appending a generator twists the
 lattice vector by the sign action and either extends the word or cancels
 its last letter while emitting a lattice unit, so all group operations
 reduce to folds of append_letter.
+
+Importing this module loads no other module of the package: ``phi``
+and ``abelianization_invariants`` import what they need when called, so
+that ``hwgroups nf`` starts without them.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import re
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-from .exact_algebra import IntMatrix, smith_normal_form
-from .quotient_w import reduce_w
 
 __all__ = [
     "GroupElement",
@@ -39,7 +40,6 @@ __all__ = [
     "project_w",
     "phi",
     "abelianize",
-    "abelianization_relation_matrix",
     "abelianization_invariants",
     "ball",
     "torsion_probe",
@@ -271,6 +271,8 @@ def phi(i: int, a: GroupElement) -> Tuple[int, ...]:
     Letter i maps to the pair (1, 2) and every other letter to (1,);
     the result is reduced in W_2.  Letter 1 plays xi, letter 2 eta.
     """
+    from .quotient_w import reduce_w
+
     n = a.n
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for rank {n}")
@@ -300,34 +302,22 @@ def abelianize(a: GroupElement):
     return tuple((2 * a.t[j] + occ[j]) % 4 for j in range(n))
 
 
-def abelianization_relation_matrix(n: int) -> IntMatrix:
-    """Relation matrix of the abelianized presentation.
-
-    Each defining relator with pair (i, j) maps to 4 e_j after killing
-    commutators, so the matrix has one row 4 e_j per ordered pair.
-    """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                rows.append(tuple(4 if k == j - 1 else 0 for k in range(n)))
-    return IntMatrix(tuple(rows)) if rows else IntMatrix(())
-
-
 def abelianization_invariants(n: int) -> Tuple[int, ...]:
     """Invariant factors of the abelianization, by Smith normal form.
 
     Each row 4 e_j of the relation matrix occurs n - 1 times; the copies
     reduce to zero rows by unimodular row operations, and zero factors
-    are dropped, so the form is taken of the n distinct rows only.
+    are dropped, so the form is taken of the n distinct rows only.  They
+    make a diagonal matrix, which ``smith_normal_form`` normalises by gcd
+    and lcm instead of its O(n^3) pivot loop.
     n = 1 has no relators and gives the empty tuple (the group is Z,
     free of rank 1).
     """
+    from .exact_algebra import smith_normal_form
+
     if n < 1:
         raise ValueError("rank must be at least 1")
-    rows = [tuple(4 if k == j else 0 for k in range(n)) for j in range(n)] if n > 1 else []
+    rows = [(0,) * j + (4,) + (0,) * (n - 1 - j) for j in range(n)] if n > 1 else []
     return tuple(d for d in smith_normal_form(rows) if d != 0)
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from hwgroups import crystal, hw_group
+from hwgroups import cli, cohomology_f2, crystal, hw_group
 from hwgroups.cli import build_parser, main
+from hwgroups.exact_algebra import VerificationError
 
 
 def run_cli(*argv):
@@ -411,6 +414,99 @@ def test_refusals_name_their_bound(argv, message, tmp_path):
     code, out, err = run_cli(*(arg.format(**files) for arg in argv))
     assert (code, out) == (2, "")
     assert err.removeprefix("error: ") == message + "\n"
+
+
+def _raise(exc):
+    def planted(*args):
+        raise exc
+    return planted
+
+
+@pytest.mark.parametrize("argv, planted, code, message", [
+    (("nf", "--n", "2", "x1 zz"), None, 2, "parse error: bad atom 'zz' (at position 3)"),
+    (("probe", "center", "--n", "3", "--radius", "6", "--budget", "10"), None, 2,
+     "resource guard: ball exceeds budget of 10 elements"),
+    (("e3-table", "--n", "3"), VerificationError("planted"), 1,
+     "verification failed: planted"),
+    (("poincare", "--n", "13", "--field", "f2", "--method", "spectral"), None, 2,
+     "error: n=13 exceeds the spectral/subset-sum bound 12 (pass --unsafe-large "
+     "to force)"),
+], ids=["parse", "guard", "verification", "value"])
+def test_main_maps_each_library_error(argv, planted, code, message, monkeypatch):
+    if planted is not None:
+        monkeypatch.setattr(cohomology_f2, "e3_dims", _raise(planted))
+    assert run_cli(*argv) == (code, "", message + "\n")
+
+
+def test_main_lets_other_errors_through(monkeypatch):
+    monkeypatch.setattr(cohomology_f2, "e3_dims", _raise(RuntimeError("planted")))
+    with pytest.raises(RuntimeError, match="planted"):
+        run_cli("e3-table", "--n", "3")
+
+
+def test_budget_default_is_the_ball_budget():
+    assert cli.DEFAULT_BALL_BUDGET == hw_group.DEFAULT_BALL_BUDGET
+
+
+def _run_process(*argv, importtime=False):
+    """``python -m hwgroups.cli argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hw_group.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run([sys.executable, *flags, "-m", "hwgroups.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+_IMPORT_LINE = re.compile(r"import time:\s+\d+ \|\s+\d+ \| +(\S+)")
+HW = {"hw_group"}
+F2 = {"cohomology_f2", "exact_algebra"}
+Q = F2 | {"cohomology_q"}
+CRYSTAL = {"crystal", "hw_group"}
+
+
+# Per command line: its exit code and the package modules it imports in
+# a fresh process besides hwgroups itself (``python -m`` runs cli as
+# __main__), so that a later top-level import cannot add one unseen.
+IMPORT_SETS = [
+    (("nf", "--n", "2", "x1 x2"), 0, HW),
+    (("nf", "--n", "2", "x1 zz"), 2, HW),
+    (("mul", "--n", "2", "x1", "x2", "--format", "json"), 0, HW),
+    (("inv", "--n", "2", "x1 x2"), 0, HW),
+    (("poincare", "--n", "3", "--field", "f2"), 0, F2),
+    (("poincare", "--n", "3", "--field", "q"), 0, Q),
+    (("e3-table", "--n", "3"), 0, F2),
+    (("en-basis", "--n", "3"), 0, F2),
+    (("mod2-check", "--n", "4"), 0, Q),
+    (("abelianization", "--n", "3"), 0, {"hw_group", "exact_algebra"}),
+    (("ranks", "--n", "4"), 0, {"hw_group", "quotient_w", "exact_algebra"}),
+    (("gamma3-verify",), 0, CRYSTAL),
+    (("action", "--n", "2", "x1", "--vector", "1/2,0"), 0, CRYSTAL),
+    (("probe", "torsion", "--n", "2", "--radius", "2", "--kmax", "3"), 0, HW),
+    (("probe", "center", "--n", "2", "--radius", "2"), 0, HW),
+    (("probe", "center", "--n", "3", "--radius", "6", "--budget", "10"), 2, HW),
+    (("probe", "fixed-point", "--n", "2", "--radius", "2"), 0, CRYSTAL),
+    (("probe", "injectivity", "--radius", "2"), 0, CRYSTAL),
+    (("up-check", "--n", "2", "{x}", "{y}"), 1, {"group_ring", "hw_group"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules",
+                         [pytest.param(*case, id=" ".join(case[0])) for case in IMPORT_SETS])
+def test_commands_load_only_their_modules(argv, code, modules, tmp_path):
+    files = _set_files(tmp_path)
+    proc = _run_process(*(arg.format(**files) for arg in argv), importtime=True)
+    loaded = {m for m in _IMPORT_LINE.findall(proc.stderr) if m.split(".")[0] == "hwgroups"}
+    assert proc.returncode == code, proc.stderr
+    assert loaded == {"hwgroups"} | {f"hwgroups.{m}" for m in modules}
+
+
+def test_abelianization_of_rank_800_answers_at_once():
+    start = time.perf_counter()
+    proc = _run_process("abelianization", "--n", "800")
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "invariant factors: (" + ",".join(["4"] * 800) + ")\n"
 
 
 N = ("--n", None, None, True)

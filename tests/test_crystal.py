@@ -18,7 +18,6 @@ from hwgroups.crystal import (
     rn_isometry,
     verify_hom_g2_gamma3,
 )
-from hwgroups.exact_algebra import solve_rational
 from hwgroups.hw_group import (
     GroupElement,
     generator,
@@ -28,6 +27,7 @@ from hwgroups.hw_group import (
     multiply,
     parse_element,
 )
+from algebra_reference import solve_rational
 
 
 def _frac(v):

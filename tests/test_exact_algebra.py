@@ -13,11 +13,12 @@ import hwgroups
 from hwgroups.exact_algebra import (
     IntMatrix,
     IntPolynomial,
+    _pivot_smith_form,
     binomial_power,
     rational_rank,
     smith_normal_form,
-    solve_rational,
 )
+from algebra_reference import solve_rational
 from spectral_reference import f2_reduce, f2_rref
 
 
@@ -269,6 +270,22 @@ def test_smith_normal_form_divisibility_and_invariance():
                 assert b == 0
         mixed = smith_normal_form(IntMatrix(unimodular_mix(rows)))
         assert mixed == diag
+
+
+def test_diagonal_smith_form_matches_the_pivot_loop():
+    # The gcd/lcm normalisation of matrices with at most one nonzero per
+    # row and column, against the general pivot loop on the same matrix.
+    rng = random.Random(47)
+    cases = [((2, 0), (3, 0)), ((0, 6), (10, 0)), ((4, 4),), ((0, 0, 0),), ()]
+    for _ in range(400):
+        n_rows, n_cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = [[0] * n_cols for _ in range(n_rows)]
+        places = zip(rng.sample(range(n_rows), n_rows), rng.sample(range(n_cols), n_cols))
+        for i, j in list(places)[:rng.randrange(min(n_rows, n_cols) + 1)]:
+            rows[i][j] = rng.choice((1, -1)) * rng.randrange(1, 37)
+        cases.append(tuple(map(tuple, rows)))
+    for rows in cases:
+        assert smith_normal_form(rows) == _pivot_smith_form(IntMatrix(rows)), rows
 
 
 def test_rational_rank_and_solve():

@@ -12,7 +12,6 @@ from hwgroups.hw_group import (
     ElementSyntaxError,
     GroupElement,
     abelianization_invariants,
-    abelianization_relation_matrix,
     abelianize,
     append_letter,
     ball,
@@ -34,6 +33,7 @@ from hwgroups.hw_group import (
     torsion_probe,
     word_sign_action,
 )
+from algebra_reference import abelianization_relation_matrix
 
 
 def _random_element(rng, n, length=6):
