@@ -290,10 +290,11 @@ def _diagonal_smith_form(entries: List[int], size: int) -> Tuple[int, ...]:
     one in each row and column, have the given absolute values.
 
     Permuting rows and columns makes the matrix diagonal, and diag(a, b)
-    is equivalent to diag(gcd(a, b), lcm(a, b)).  Swapping each pair
-    i < j that way when d_i does not divide d_j leaves d_i dividing
-    every later entry once i is done, and later swaps keep it so: k
-    steps to fix d_i, each one a remainder test in the common case.
+    is equivalent to diag(gcd(a, b), lcm(a, b)).  Replacing d_i, d_j
+    that way for each pair i < j where d_i does not divide d_j leaves
+    d_i dividing every later entry once i is done, and later
+    replacements keep it so.  For k entries that is k(k-1)/2 remainder
+    tests, and a gcd and lcm only where one fails.
     """
     d = list(entries)
     for i in range(len(d)):

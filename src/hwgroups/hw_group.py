@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "GroupElement",
