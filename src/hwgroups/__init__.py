@@ -33,7 +33,7 @@ _EXPORTS = {
         ("cohomology_f2", ("e3_dims", "en_basis", "en_multiply", "en_vs_e3",
                            "poincare_f2_closed", "poincare_f2_spectral")),
         ("cohomology_q", ("h1", "h1_oracle", "mod2_compare", "poincare_q_closed",
-                          "poincare_q_spectral", "wedge_character")),
+                          "poincare_q_spectral")),
         ("crystal", ("AffineIsometry", "fixed_points", "gamma3_generators",
                      "rn_action", "rn_isometry", "verify_hom_g2_gamma3")),
         ("exact_algebra", ("IntMatrix", "IntPolynomial", "smith_normal_form")),
@@ -42,8 +42,7 @@ _EXPORTS = {
         ("hw_group", ("GroupElement", "abelianization_invariants", "abelianize", "ball",
                       "format_element", "generator", "identity", "inverse", "multiply",
                       "parse_element", "power")),
-        ("quotient_w", ("commutator_rank", "euler_wn", "kernel_rank_h", "psi",
-                        "reduce_w")),
+        ("quotient_w", ("commutator_rank", "euler_wn", "kernel_rank_h", "reduce_w")),
     )
     for name in names
 }

@@ -289,8 +289,7 @@ def cmd_up_check(args: argparse.Namespace) -> Result:
     if not x_set or not y_set:
         raise ValueError("set files must contain at least one element each")
     tally = group_ring.product_tally(x_set, y_set)
-    witnesses = [hw_group.format_element(g)
-                 for g in group_ring.unique_product_witnesses(x_set, y_set)]
+    witnesses = [hw_group.format_element(g) for g in group_ring._unique_products(tally)]
     record = {
         "n": args.n,
         "x_size": len(x_set),

@@ -6,8 +6,8 @@ polynomial is the subset sum of the h^0/h^1 contributions of these
 characters.  The sum runs on subset bitmasks: the -1 positions of the
 character of g_A are A itself for even |A| and its complement for odd
 |A|, so each term is read off the weight of one int.  ``Character``,
-``h0``, ``h1`` and ``h1_oracle`` give the same values on the explicit
-sign vectors.  The closed form of the same sum has half-integer
+``h1`` and ``h1_oracle`` give the same h^1 on the explicit sign
+vectors.  The closed form of the same sum has half-integer
 intermediates; it is expanded at twice its value over the integers and
 must halve exactly.
 """
@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .exact_algebra import IntPolynomial, VerificationError, binomial_power, rational_rank
 from .cohomology_f2 import poincare_f2_closed
 
 __all__ = [
     "Character",
-    "trivial_character",
-    "wedge_character",
-    "h0",
     "h1",
     "h1_oracle",
     "poincare_q_spectral",
@@ -62,41 +59,12 @@ class Character:
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.eps)
 
-    def __mul__(self, other: "Character") -> "Character":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return Character(tuple(a * b for a, b in zip(self.eps, other.eps)))
-
-    def __neg__(self) -> "Character":
-        return Character(tuple(-v for v in self.eps))
-
-
-def trivial_character(n: int) -> Character:
-    return Character((1,) * n)
-
 
 def _minus_positions(full: int, mask: int) -> int:
     """The -1 entries of the character of g_mask as a bitmask (bit j-1
     for x_j): mask itself when |mask| is even, full ^ mask when odd,
     where full has the n low bits set."""
     return full ^ mask if mask.bit_count() & 1 else mask
-
-
-def wedge_character(n: int, subset: Iterable[int]) -> Character:
-    """Character of the wedge monomial g_A: entry j is
-    (-1)^(|A|+1) on A and (-1)^|A| off A."""
-    mask = 0
-    for i in set(subset):
-        if not 1 <= i <= n:
-            raise ValueError(f"subset member {i} out of range for rank {n}")
-        mask |= 1 << (i - 1)
-    minus = _minus_positions((1 << n) - 1, mask)
-    return Character(tuple(-1 if minus >> j & 1 else 1 for j in range(n)))
-
-
-def h0(eps: Character) -> int:
-    """Invariants: 1 for the trivial character, else 0."""
-    return 1 if eps.is_trivial() else 0
 
 
 def h1(eps: Character) -> int:
@@ -132,9 +100,8 @@ def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Int
     Column p contributes x^p * x^|A| * h^p of the character of g_A, and
     columns p > 1 vanish.  Each mask A is one term, read off the bitmask
     m of the character's -1 positions: h^0 = 1 when m = 0, and otherwise
-    h^1 = |m| - 1, the values ``h0`` and ``h1`` give on the explicit
-    character.  Guarded by subset_limit since the term count is
-    exponential.
+    h^1 = |m| - 1, the value ``h1`` gives on the explicit character.
+    Guarded by subset_limit since the term count is exponential.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")

@@ -50,10 +50,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "IntPolynomial":
         return cls((0, 1))
 
@@ -68,12 +64,6 @@ class IntPolynomial:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def __add__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         other = _coerce(other)
@@ -92,9 +82,6 @@ class IntPolynomial:
 
     def __sub__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         other = _coerce(other)

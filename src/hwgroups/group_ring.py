@@ -8,7 +8,7 @@ loop with symmetric-difference accumulation (coefficients live in F_2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
 from .hw_group import (
     ElementSyntaxError,
@@ -21,11 +21,8 @@ from .hw_group import (
 
 __all__ = [
     "RingElement",
-    "ring_zero",
     "ring_one",
-    "ring_from_elements",
     "ring_mul",
-    "ring_add",
     "product_tally",
     "unique_product_witnesses",
     "parse_set_file",
@@ -49,33 +46,12 @@ class RingElement:
     def __bool__(self) -> bool:
         return bool(self.support)
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return ring_add(self, other)
-
     def __mul__(self, other: "RingElement") -> "RingElement":
         return ring_mul(self, other)
 
 
-def ring_zero(n: int) -> RingElement:
-    return RingElement(n, frozenset())
-
-
 def ring_one(n: int) -> RingElement:
     return RingElement(n, frozenset({identity(n)}))
-
-
-def ring_from_elements(n: int, elements: Iterable[GroupElement]) -> RingElement:
-    """Characteristic-2 sum: elements listed an even number of times cancel."""
-    acc: set = set()
-    for g in elements:
-        acc ^= {g}
-    return RingElement(n, frozenset(acc))
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    if a.n != b.n:
-        raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    return RingElement(a.n, a.support ^ b.support)
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -112,10 +88,12 @@ def unique_product_witnesses(
 
     An empty result certifies (X, Y) as a nonunique-product pair.
     """
-    tally = product_tally(x_set, y_set)
-    return sorted(
-        (g for g, count in tally.items() if count == 1), key=element_sort_key
-    )
+    return _unique_products(product_tally(x_set, y_set))
+
+
+def _unique_products(tally: Dict[GroupElement, int]) -> List[GroupElement]:
+    """The products a tally counts exactly once, in canonical order."""
+    return sorted((g for g, count in tally.items() if count == 1), key=element_sort_key)
 
 
 def parse_set_file(text: str, n: int) -> List[GroupElement]:

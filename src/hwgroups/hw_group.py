@@ -7,9 +7,9 @@ lattice vector by the sign action and either extends the word or cancels
 its last letter while emitting a lattice unit, so all group operations
 reduce to folds of append_letter.
 
-Importing this module loads no other module of the package: ``phi``
-and ``abelianization_invariants`` import what they need when called, so
-that ``hwgroups nf`` starts without them.
+Importing this module loads no other module of the package:
+``abelianization_invariants`` imports ``exact_algebra`` when called, so
+that ``hwgroups nf`` starts without it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_BALL_BUDGET",
     "identity",
     "generator",
-    "lattice_element",
     "sign_action",
     "word_sign_action",
     "append_letter",
@@ -38,13 +37,11 @@ __all__ = [
     "decimal_text",
     "format_element",
     "project_w",
-    "phi",
     "abelianize",
     "abelianization_invariants",
     "ball",
     "torsion_probe",
     "center_probe",
-    "klein_membership",
     "element_sort_key",
 ]
 
@@ -110,10 +107,6 @@ def generator(n: int, i: int) -> GroupElement:
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for rank {n}")
     return GroupElement((i,), (0,) * n)
-
-
-def lattice_element(t: Sequence[int]) -> GroupElement:
-    return GroupElement((), tuple(t))
 
 
 def sign_action(i: int, t: Sequence[int]) -> Tuple[int, ...]:
@@ -265,26 +258,6 @@ def project_w(a: GroupElement) -> Tuple[int, ...]:
     return a.w
 
 
-def phi(i: int, a: GroupElement) -> Tuple[int, ...]:
-    """Image of the word part under the i-th two-letter projection.
-
-    Letter i maps to the pair (1, 2) and every other letter to (1,);
-    the result is reduced in W_2.  Letter 1 plays xi, letter 2 eta.
-    """
-    from .quotient_w import reduce_w
-
-    n = a.n
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    image: List[int] = []
-    for letter in a.w:
-        if letter == i:
-            image.extend((1, 2))
-        else:
-            image.append(1)
-    return reduce_w(image, 2)
-
-
 def abelianize(a: GroupElement):
     """Image in the abelianization.
 
@@ -396,10 +369,3 @@ def center_probe(n: int, r: int,
             found.append(g)
     return found
 
-
-def klein_membership(a: GroupElement, i: int) -> bool:
-    """True iff a lies in the subgroup generated by x_i and the lattice."""
-    n = a.n
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    return all(letter == i for letter in a.w)

@@ -1,26 +1,19 @@
 """The quotient W_n, a free product of n copies of Z_2.
 
-Reduced words, the torus action by sign-and-conjugate automorphisms,
-the componentwise Klein-four invariant, and the Euler-characteristic
-rank formulas for the distinguished free subgroups.
+Reduced words and the Euler-characteristic rank formulas for the
+distinguished free subgroups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .exact_algebra import VerificationError
 
 __all__ = [
     "reduce_w",
-    "mul_w",
-    "inv_w",
-    "TorusAutomorphism",
-    "letter_torus_action",
-    "torus_action",
-    "psi",
     "euler_wn",
     "commutator_rank",
     "kernel_rank_h",
@@ -44,90 +37,6 @@ def reduce_w(letters: Iterable[int], n: int | None = None) -> Tuple[int, ...]:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def mul_w(u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    return reduce_w(tuple(u) + tuple(v))
-
-
-def inv_w(u: Sequence[int]) -> Tuple[int, ...]:
-    """Inverse in W_n: reverse the word (letters are involutions)."""
-    return tuple(reversed(u))
-
-
-@dataclass(frozen=True)
-class TorusAutomorphism:
-    """Automorphism of the n-torus generated by coordinate sign flips and
-    coordinatewise conjugation.
-
-    signs[k] is the sign applied to coordinate k+1 and conj[k] is 1 when
-    that coordinate is additionally conjugated.  Signs multiply and
-    conjugation flags add mod 2 under composition, and the two commute,
-    so the composition law is componentwise and abelian.
-    """
-
-    signs: Tuple[int, ...]
-    conj: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.signs) != len(self.conj):
-            raise ValueError("signs and conj must have equal length")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-        if any(c not in (0, 1) for c in self.conj):
-            raise ValueError("conj flags must be 0/1")
-
-    @classmethod
-    def identity(cls, n: int) -> "TorusAutomorphism":
-        return cls((1,) * n, (0,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        signs = tuple(a * b for a, b in zip(self.signs, other.signs))
-        conj = tuple((a + b) % 2 for a, b in zip(self.conj, other.conj))
-        return TorusAutomorphism(signs, conj)
-
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.signs) and not any(self.conj)
-
-
-def letter_torus_action(n: int, i: int) -> TorusAutomorphism:
-    """Action of generator i: negate coordinate i, conjugate the others."""
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    signs = tuple(-1 if k == i - 1 else 1 for k in range(n))
-    conj = tuple(0 if k == i - 1 else 1 for k in range(n))
-    return TorusAutomorphism(signs, conj)
-
-
-def torus_action(w: Sequence[int], n: int) -> TorusAutomorphism:
-    """Composition of the letter actions of a word."""
-    out = TorusAutomorphism.identity(n)
-    for letter in w:
-        out = out.compose(letter_torus_action(n, letter))
-    return out
-
-
-def psi(w: Sequence[int], n: int) -> Tuple[Tuple[int, int], ...]:
-    """Componentwise Klein-four invariant of a word.
-
-    Component i is the image of the i-th two-letter projection followed
-    by abelianization of W_2 onto Z_2 + Z_2: every letter contributes
-    (1,0) except letter i itself, which contributes (1,1).  Hence the
-    value is ((len(w), occ_i(w)) mod 2) in each component.
-    """
-    length = len(w) % 2
-    occ = [0] * n
-    for letter in w:
-        if not 1 <= letter <= n:
-            raise ValueError(f"letter {letter} out of range for rank {n}")
-        occ[letter - 1] ^= 1
-    return tuple((length, occ[i]) for i in range(n))
 
 
 def euler_wn(n: int) -> Fraction:

@@ -1,18 +1,22 @@
-"""Literal constructions the tests use as oracles for two shortcuts.
+"""Literal constructions the tests use as oracles for three shortcuts.
 
 ``abelianization_relation_matrix`` writes down the abelianized
 presentation row by row, one row per defining relator; the package
 takes the Smith form of its n distinct rows only.  ``solve_rational``
 solves a rational system by Gauss-Jordan elimination; the package
 reads fixed points off coordinate by coordinate, since its isometries
-have diagonal linear parts.
+have diagonal linear parts.  ``wedge_character`` spells out the sign
+vector of a wedge monomial entry by entry, and ``h0`` and
+``cohomology_q.h1`` read its invariants; the package's subset sum reads
+each term off one bitmask instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
+from hwgroups.cohomology_q import Character
 from hwgroups.exact_algebra import IntMatrix, _gauss_jordan
 
 
@@ -54,3 +58,20 @@ def solve_rational(
     for k, col in enumerate(pivot_cols):
         solution[col] = work[k][n_cols]
     return solution
+
+
+def wedge_character(n: int, subset: Iterable[int]) -> Character:
+    """Character of the wedge monomial g_A: entry j is
+    (-1)^(|A|+1) on A and (-1)^|A| off A."""
+    members = set(subset)
+    for i in members:
+        if not 1 <= i <= n:
+            raise ValueError(f"subset member {i} out of range for rank {n}")
+    size = len(members)
+    return Character(tuple((-1) ** (size + 1) if j in members else (-1) ** size
+                           for j in range(1, n + 1)))
+
+
+def h0(eps: Character) -> int:
+    """Invariants: 1 for the trivial character, else 0."""
+    return 1 if eps.is_trivial() else 0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hwgroups import cli, cohomology_f2, crystal, hw_group
+from hwgroups import cli, cohomology_f2, crystal, group_ring, hw_group
 from hwgroups.cli import build_parser, main
 from hwgroups.exact_algebra import VerificationError
 
@@ -334,6 +334,22 @@ def test_up_check(tmp_path):
     bad.write_text("x1\nx7\n")
     code, _, err = run_cli("up-check", "--n", "2", str(x_file), str(bad))
     assert code == 2 and "line 2" in err
+
+
+def test_up_check_multiplies_each_pair_once(tmp_path, monkeypatch):
+    # The witnesses are read off the same tally that counts the products.
+    pairs = []
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return hw_group.multiply(a, b)
+
+    monkeypatch.setattr(group_ring, "multiply", counted)
+    files = _set_files(tmp_path)
+    code, out, _ = run_cli("up-check", "--n", "2", files["x"], files["y"])
+    assert code == 1
+    assert out.startswith("|X| = 2, |Y| = 3, ")
+    assert len(pairs) == 2 * 3
 
 
 def test_mod2_check():

@@ -23,7 +23,6 @@ from hwgroups.hw_group import (
     generator,
     identity,
     inverse,
-    lattice_element,
     multiply,
     parse_element,
 )
@@ -134,7 +133,7 @@ def test_rn_isometry_letter_action():
     assert iso.apply(_frac((0, 0))) == (Fraction(1, 2), Fraction(0))
     assert iso.signs == (1, -1)
     # lattice elements act by integer translations
-    tau = rn_isometry(lattice_element((2, -1)))
+    tau = rn_isometry(GroupElement((), (2, -1)))
     assert tau.signs == (1, 1)
     assert tau.translation == _frac((2, -1))
 

@@ -1,27 +1,16 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from hwgroups.quotient_w import (
-    TorusAutomorphism,
     commutator_rank,
     euler_wn,
-    inv_w,
     kernel_rank_details,
     kernel_rank_h,
-    letter_torus_action,
-    mul_w,
-    psi,
     reduce_w,
-    torus_action,
 )
-
-
-def _random_word(rng, n, length=8):
-    return [rng.randrange(1, n + 1) for _ in range(rng.randrange(length + 1))]
 
 
 def test_reduce_w_cancels_adjacent_involutions():
@@ -34,65 +23,6 @@ def test_reduce_w_cancels_adjacent_involutions():
         reduce_w([0], 2)
     with pytest.raises(ValueError):
         reduce_w([3], 2)
-
-
-def test_w_group_laws():
-    rng = random.Random(41)
-    for n in (1, 2, 4):
-        for _ in range(200):
-            u = reduce_w(_random_word(rng, n), n)
-            v = reduce_w(_random_word(rng, n), n)
-            w = reduce_w(_random_word(rng, n), n)
-            assert mul_w(mul_w(u, v), w) == mul_w(u, mul_w(v, w))
-            assert mul_w(u, inv_w(u)) == ()
-            assert mul_w(inv_w(u), u) == ()
-            # generators are involutions, so inversion reverses the word
-            assert inv_w(u) == tuple(reversed(u))
-
-
-def test_letter_torus_action():
-    act = letter_torus_action(3, 2)
-    assert act.signs == (1, -1, 1)
-    assert act.conj == (1, 0, 1)
-    assert act.compose(act).is_identity()
-    with pytest.raises(ValueError):
-        letter_torus_action(2, 3)
-
-
-def test_torus_action_is_a_homomorphism():
-    rng = random.Random(43)
-    for _ in range(100):
-        n = rng.randrange(1, 5)
-        u = _random_word(rng, n)
-        v = _random_word(rng, n)
-        assert torus_action(u + v, n) == torus_action(u, n).compose(
-            torus_action(v, n))
-    assert torus_action([], 3) == TorusAutomorphism.identity(3)
-
-
-def test_torus_automorphism_validation():
-    with pytest.raises(ValueError):
-        TorusAutomorphism((1, 2), (0, 0))
-    with pytest.raises(ValueError):
-        TorusAutomorphism((1,), (0, 0))
-    with pytest.raises(ValueError):
-        TorusAutomorphism((1, 1), (0, 2))
-
-
-def test_psi_values():
-    assert psi((1,), 2) == ((1, 1), (1, 0))
-    assert psi((), 2) == ((0, 0), (0, 0))
-    assert psi((1, 2), 3) == ((0, 1), (0, 1), (0, 0))
-    # relator words die: same parity data as the empty word
-    assert psi((1, 2, 2, 1), 2) == psi((), 2)
-
-
-def test_psi_respects_reduction():
-    rng = random.Random(47)
-    for _ in range(100):
-        n = rng.randrange(1, 5)
-        word = _random_word(rng, n)
-        assert psi(word, n) == psi(reduce_w(word, n), n)
 
 
 def test_euler_characteristic():
