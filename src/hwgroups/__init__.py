@@ -17,7 +17,7 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: polynomials, Smith normal form, rational rank.
+- ``exact_algebra``: polynomials, rational rank, ``VerificationError``.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 
@@ -36,7 +36,7 @@ _EXPORTS = {
                           "poincare_q_spectral")),
         ("crystal", ("AffineIsometry", "fixed_points", "gamma3_generators",
                      "rn_action", "rn_isometry", "verify_hom_g2_gamma3")),
-        ("exact_algebra", ("IntMatrix", "IntPolynomial", "smith_normal_form")),
+        ("exact_algebra", ("IntPolynomial",)),
         ("group_ring", ("RingElement", "parse_set_file", "product_tally", "ring_mul",
                         "unique_product_witnesses")),
         ("hw_group", ("GroupElement", "abelianization_invariants", "abelianize", "ball",

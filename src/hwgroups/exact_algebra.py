@@ -1,7 +1,9 @@
 """Exact arithmetic substrate.
 
-Integer polynomials with their binomial rows (1 +- x)^m, Smith normal
-form over Z, and the rank of a matrix over Q.  No GF(2) elimination is
+Integer polynomials with their binomial rows (1 +- x)^m, the rank of a
+matrix over Q, and the error the package's run-time checks raise.  No
+Smith normal form is needed: the abelianization's relator rows are
+a diagonal matrix up to permutation (``hw_group``).  No GF(2) elimination is
 needed anywhere: the spectral sequence has monomial d_2 blocks, ranked
 by counting distinct columns, and the bigraded algebra has relations
 with disjoint supports, both in ``cohomology_f2``.  Everything here is
@@ -12,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 __all__ = [
     "IntPolynomial",
     "binomial_power",
-    "IntMatrix",
-    "smith_normal_form",
     "rational_rank",
     "VerificationError",
 ]
@@ -159,156 +158,6 @@ def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:
     if isinstance(value, int):
         return IntPolynomial((value,))
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Rectangular integer matrix, row-major."""
-
-    entries: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def smith_normal_form(m: Union[IntMatrix, Sequence[Sequence[int]]]) -> Tuple[int, ...]:
-    """Diagonal of the Smith normal form: nonnegative, d_k | d_{k+1}.
-
-    A matrix with at most one nonzero entry in each row and each column
-    is normalised by gcd and lcm (``_diagonal_smith_form``); any other
-    goes through the pivot loop (``_pivot_smith_form``).
-    """
-    if not isinstance(m, IntMatrix):
-        m = IntMatrix(m)
-    size = min(m.n_rows, m.n_cols)
-    entries = _monomial_entries(m.entries)
-    if entries is not None:
-        return _diagonal_smith_form(entries, size)
-    return _pivot_smith_form(m)
-
-
-def _pivot_smith_form(m: IntMatrix) -> Tuple[int, ...]:
-    """Smith form by the classical pivot/reduce with
-    smallest-nonzero-pivot selection.
-
-    Each pass picks the entry of least absolute value in the remaining
-    submatrix, clears its row and column, and restarts whenever a
-    division leaves a remainder or a non-divisible entry is folded in;
-    the pivot's absolute value strictly decreases, so this terminates.
-    Every pass rescans the remaining submatrix, so an n x n input costs
-    O(n^3) even when it is diagonal.
-    """
-    mat = [list(row) for row in m.entries]
-    n_rows = m.n_rows
-    n_cols = m.n_cols
-    size = min(n_rows, n_cols)
-    t = 0
-    while t < size:
-        pos = _min_nonzero(mat, t, n_rows, n_cols)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            mat[t], mat[i] = mat[i], mat[t]
-        if j != t:
-            for row in mat:
-                row[t], row[j] = row[j], row[t]
-        if mat[t][t] < 0:
-            mat[t] = [-v for v in mat[t]]
-        p = mat[t][t]
-        dirty = False
-        for i in range(t + 1, n_rows):
-            q = mat[i][t] // p
-            if q:
-                for j2 in range(t, n_cols):
-                    mat[i][j2] -= q * mat[t][j2]
-            if mat[i][t]:
-                dirty = True
-        for j in range(t + 1, n_cols):
-            q = mat[t][j] // p
-            if q:
-                for i2 in range(t, n_rows):
-                    mat[i2][j] -= q * mat[i2][t]
-            if mat[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        bad = _non_divisible_row(mat, t, p, n_rows, n_cols)
-        if bad is not None:
-            for j2 in range(t, n_cols):
-                mat[t][j2] += mat[bad][j2]
-            continue
-        t += 1
-    return tuple(mat[k][k] for k in range(size))
-
-
-def _monomial_entries(rows: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Absolute values of the nonzero entries, or None when some row or
-    some column holds two of them."""
-    entries: List[int] = []
-    cols = set()
-    for row in rows:
-        nonzero = [j for j, v in enumerate(row) if v]
-        if nonzero:
-            j = nonzero[0]
-            if len(nonzero) > 1 or j in cols:
-                return None
-            cols.add(j)
-            entries.append(abs(row[j]))
-    return entries
-
-
-def _diagonal_smith_form(entries: List[int], size: int) -> Tuple[int, ...]:
-    """Smith form of a size-wide matrix whose nonzero entries, at most
-    one in each row and column, have the given absolute values.
-
-    Permuting rows and columns makes the matrix diagonal, and diag(a, b)
-    is equivalent to diag(gcd(a, b), lcm(a, b)).  Replacing d_i, d_j
-    that way for each pair i < j where d_i does not divide d_j leaves
-    d_i dividing every later entry once i is done, and later
-    replacements keep it so.  For k entries that is k(k-1)/2 remainder
-    tests, and a gcd and lcm only where one fails.
-    """
-    d = list(entries)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if d[j] % d[i]:
-                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return tuple(d) + (0,) * (size - len(d))
-
-
-def _min_nonzero(mat: List[List[int]], t: int, n_rows: int, n_cols: int):
-    best = None
-    for i in range(t, n_rows):
-        for j in range(t, n_cols):
-            v = mat[i][j]
-            if v and (best is None or abs(v) < best[0]):
-                best = (abs(v), i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _non_divisible_row(mat: List[List[int]], t: int, p: int, n_rows: int, n_cols: int):
-    for i in range(t + 1, n_rows):
-        for j in range(t + 1, n_cols):
-            if mat[i][j] % p:
-                return i
-    return None
 
 
 def _gauss_jordan(work: List[List[Fraction]], n_cols: int) -> List[int]:

@@ -7,9 +7,9 @@ lattice vector by the sign action and either extends the word or cancels
 its last letter while emitting a lattice unit, so all group operations
 reduce to folds of append_letter.
 
-Importing this module loads no other module of the package:
-``abelianization_invariants`` imports ``exact_algebra`` when called, so
-that ``hwgroups nf`` starts without it.
+Importing this module loads no other module of the package; only a
+failed check in ``abelianization_invariants`` imports ``exact_algebra``,
+for its ``VerificationError``.
 """
 
 from __future__ import annotations
@@ -275,23 +275,47 @@ def abelianize(a: GroupElement):
     return tuple((2 * a.t[j] + occ[j]) % 4 for j in range(n))
 
 
-def abelianization_invariants(n: int) -> Tuple[int, ...]:
-    """Invariant factors of the abelianization, by Smith normal form.
+def _relator_letters(i: int, j: int) -> Tuple[Tuple[int, int], ...]:
+    """The defining relator x_i^-1 x_j^2 x_i x_j^2 as (generator, exponent) pairs."""
+    return ((i, -1), (j, 2), (i, 1), (j, 2))
 
-    Each row 4 e_j of the relation matrix occurs n - 1 times; the copies
-    reduce to zero rows by unimodular row operations, and zero factors
-    are dropped, so the form is taken of the n distinct rows only.  They
-    make a diagonal matrix, which ``smith_normal_form`` normalises by gcd
-    and lcm instead of its O(n^3) pivot loop.
+
+def abelianization_invariants(n: int) -> Tuple[int, ...]:
+    """Invariant factors of the abelianization, read off its relator rows.
+
+    Abelianizing turns a relator into its exponent-sum row.  The row of
+    x_i^-1 x_j^2 x_i x_j^2 does not depend on i, since x_i occurs once
+    with each sign, so one relator for each j, with i the next
+    generator, gives every distinct row; the copies reduce to zero rows
+    and add no factor.  Each row is kept as its nonzero (column, entry)
+    pairs.  Rows with one nonzero entry each, in distinct columns, are a
+    diagonal matrix up to permutation, and its sorted entries are its
+    Smith form once each divides the next.  Both conditions are checked,
+    and VerificationError names the one that fails.
     n = 1 has no relators and gives the empty tuple (the group is Z,
     free of rank 1).
     """
-    from .exact_algebra import smith_normal_form
-
     if n < 1:
         raise ValueError("rank must be at least 1")
-    rows = [(0,) * j + (4,) + (0,) * (n - 1 - j) for j in range(n)] if n > 1 else []
-    return tuple(d for d in smith_normal_form(rows) if d != 0)
+    factors: List[int] = []
+    columns = set()
+    for j in range(1, n + 1) if n > 1 else ():
+        sums = {}
+        for letter, exp in _relator_letters(j % n + 1, j):
+            sums[letter] = sums.get(letter, 0) + exp
+        row = [(col, v) for col, v in sums.items() if v]
+        if len(row) != 1 or row[0][0] in columns:
+            from .exact_algebra import VerificationError
+            raise VerificationError(f"relator row {row} for x_{j} is not one nonzero "
+                                    "entry in a column of its own")
+        columns.add(row[0][0])
+        factors.append(abs(row[0][1]))
+    factors.sort()
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            from .exact_algebra import VerificationError
+            raise VerificationError(f"invariant factor {a} does not divide {b}")
+    return tuple(factors)
 
 
 def element_sort_key(g: GroupElement):

@@ -1,26 +1,27 @@
 """Literal constructions the tests use as oracles for three shortcuts.
 
 ``abelianization_relation_matrix`` writes down the abelianized
-presentation row by row, one row per defining relator; the package
-takes the Smith form of its n distinct rows only.  ``solve_rational``
-solves a rational system by Gauss-Jordan elimination; the package
-reads fixed points off coordinate by coordinate, since its isometries
-have diagonal linear parts.  ``wedge_character`` spells out the sign
-vector of a wedge monomial entry by entry, and ``h0`` and
-``cohomology_q.h1`` read its invariants; the package's subset sum reads
-each term off one bitmask instead.
+presentation row by row, one row per defining relator, and
+``pivot_smith_form`` reduces any integer matrix by the classical pivot
+loop; the package reads the invariant factors off one relator row for
+each generator instead.  ``solve_rational`` solves a rational system by
+Gauss-Jordan elimination; the package reads fixed points off coordinate
+by coordinate, since its isometries have diagonal linear parts.
+``wedge_character`` spells out the sign vector of a wedge monomial
+entry by entry, and ``h0`` and ``cohomology_q.h1`` read its invariants;
+the package's subset sum reads each term off one bitmask instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from hwgroups.cohomology_q import Character
-from hwgroups.exact_algebra import IntMatrix, _gauss_jordan
+from hwgroups.exact_algebra import _gauss_jordan
 
 
-def abelianization_relation_matrix(n: int) -> IntMatrix:
+def abelianization_relation_matrix(n: int) -> Tuple[Tuple[int, ...], ...]:
     """Relation matrix of the abelianized presentation.
 
     Each defining relator with pair (i, j) maps to 4 e_j after killing
@@ -33,7 +34,84 @@ def abelianization_relation_matrix(n: int) -> IntMatrix:
         for j in range(1, n + 1):
             if i != j:
                 rows.append(tuple(4 if k == j - 1 else 0 for k in range(n)))
-    return IntMatrix(tuple(rows)) if rows else IntMatrix(())
+    return tuple(rows)
+
+
+def pivot_smith_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Diagonal of the Smith normal form, nonnegative with d_k | d_{k+1},
+    by the classical pivot/reduce with smallest-nonzero-pivot selection.
+
+    Each pass picks the entry of least absolute value in the remaining
+    submatrix, clears its row and column, and restarts whenever a
+    division leaves a remainder or a non-divisible entry is folded in;
+    the pivot's absolute value strictly decreases, so this terminates.
+    Every pass rescans the remaining submatrix, so an n x n input costs
+    O(n^3) even when it is diagonal.
+    """
+    mat = [[int(v) for v in row] for row in rows]
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if mat else 0
+    if any(len(row) != n_cols for row in mat):
+        raise ValueError("matrix rows have unequal lengths")
+    size = min(n_rows, n_cols)
+    t = 0
+    while t < size:
+        pos = _min_nonzero(mat, t, n_rows, n_cols)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            mat[t], mat[i] = mat[i], mat[t]
+        if j != t:
+            for row in mat:
+                row[t], row[j] = row[j], row[t]
+        if mat[t][t] < 0:
+            mat[t] = [-v for v in mat[t]]
+        p = mat[t][t]
+        dirty = False
+        for i in range(t + 1, n_rows):
+            q = mat[i][t] // p
+            if q:
+                for j2 in range(t, n_cols):
+                    mat[i][j2] -= q * mat[t][j2]
+            if mat[i][t]:
+                dirty = True
+        for j in range(t + 1, n_cols):
+            q = mat[t][j] // p
+            if q:
+                for i2 in range(t, n_rows):
+                    mat[i2][j] -= q * mat[i2][t]
+            if mat[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        bad = _non_divisible_row(mat, t, p, n_rows, n_cols)
+        if bad is not None:
+            for j2 in range(t, n_cols):
+                mat[t][j2] += mat[bad][j2]
+            continue
+        t += 1
+    return tuple(mat[k][k] for k in range(size))
+
+
+def _min_nonzero(mat: List[List[int]], t: int, n_rows: int, n_cols: int):
+    best = None
+    for i in range(t, n_rows):
+        for j in range(t, n_cols):
+            v = mat[i][j]
+            if v and (best is None or abs(v) < best[0]):
+                best = (abs(v), i, j)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _non_divisible_row(mat: List[List[int]], t: int, p: int, n_rows: int, n_cols: int):
+    for i in range(t + 1, n_rows):
+        for j in range(t + 1, n_cols):
+            if mat[i][j] % p:
+                return i
+    return None
 
 
 def solve_rational(

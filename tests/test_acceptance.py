@@ -138,7 +138,7 @@ def test_criterion_07_abelianization() -> None:
     ok = all(
         hw_group.abelianization_invariants(n) == (4,) * n for n in range(2, 9)
     )
-    _report(7, "Smith form gives invariant factors (4, ..., 4) for n <= 8", ok)
+    _report(7, "relator rows give invariant factors (4, ..., 4) for n <= 8", ok)
 
 
 def test_criterion_08_structural_probes() -> None:

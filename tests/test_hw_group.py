@@ -5,7 +5,6 @@ import random
 import pytest
 
 from hwgroups import hw_group
-from hwgroups.exact_algebra import smith_normal_form
 from hwgroups.hw_group import (
     DEFAULT_BALL_BUDGET,
     BallBudgetError,
@@ -30,7 +29,7 @@ from hwgroups.hw_group import (
     torsion_probe,
     word_sign_action,
 )
-from algebra_reference import abelianization_relation_matrix
+from algebra_reference import abelianization_relation_matrix, pivot_smith_form
 
 
 def _random_element(rng, n, length=6):
@@ -201,14 +200,14 @@ def test_abelianization_presentation():
     for n in range(2, 7):
         assert abelianization_invariants(n) == (4,) * n
     m = abelianization_relation_matrix(3)
-    assert len(m.entries) == 6
-    assert sorted(m.entries)[0] == (0, 0, 4)
+    assert len(m) == 6
+    assert sorted(m)[0] == (0, 0, 4)
 
 
 def test_abelianization_from_distinct_rows():
     # the Smith form of the full n(n-1)-row matrix is the oracle
     for n in range(1, 9):
-        full = smith_normal_form(abelianization_relation_matrix(n))
+        full = pivot_smith_form(abelianization_relation_matrix(n))
         assert abelianization_invariants(n) == tuple(d for d in full if d)
     # n(n-1) = 22350 rows would take seconds; the n distinct rows do not
     assert abelianization_invariants(150) == (4,) * 150

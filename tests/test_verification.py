@@ -19,7 +19,7 @@ import hwgroups
 _PRELUDE = """
 import sys
 from fractions import Fraction
-from hwgroups import cli, cohomology_f2, cohomology_q, quotient_w
+from hwgroups import cli, cohomology_f2, cohomology_q, hw_group, quotient_w
 from hwgroups.exact_algebra import IntPolynomial, VerificationError
 if sys.flags.optimize < 1:
     sys.exit("not running under -O")
@@ -41,6 +41,15 @@ _CASES = {
     # integer scaling dropped: c * P returns P, so 2 * x^n turns odd
     "q_integrality": ("IntPolynomial.__rmul__ = lambda self, c: self",
                       "cohomology_q.poincare_q_closed(3)", "non-integral"),
+    # x_i^-1 x_j^2 x_i^2 x_j^2 leaves x_i in its exponent-sum row
+    "abelianization_rows": ("hw_group._relator_letters = lambda i, j: "
+                            "((i, -1), (j, 2), (i, 2), (j, 2))",
+                            "hw_group.abelianization_invariants(3)",
+                            "not one nonzero entry"),
+    # rows (j + 1) e_j are monomial, but 2 does not divide 3
+    "abelianization_chain": ("hw_group._relator_letters = lambda i, j: ((j, j + 1),)",
+                             "hw_group.abelianization_invariants(3)",
+                             "does not divide"),
     "kernel_rank_euler": ("quotient_w.euler_wn = lambda n: Fraction(0)",
                           "quotient_w.kernel_rank_details(4)", "differs from"),
 }
