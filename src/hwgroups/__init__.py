@@ -24,6 +24,44 @@ Headline entry points are re-exported here; the modules hold the rest:
 from __future__ import annotations
 
 import importlib
+import operator
+
+
+class _Value:
+    """Base of the package's immutable values, which load no
+    ``dataclasses``: a subclass names its fields in ``__slots__`` and
+    sets each once in ``__init__``.  Equality (same class only), hash,
+    repr and pickling go by the tuple of fields, as a frozen dataclass's
+    do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # A C attrgetter, so that hashing a value runs no Python frame.
+        get = operator.attrgetter(*cls.__slots__)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._astuple(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
 
 # Each exported name and the module that defines it.  A name is imported
 # on first access (PEP 562), so a process loads only the modules it uses.

@@ -32,9 +32,10 @@ cached: every function recomputes its result from n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Tuple, Union)
 
+from . import _Value
 from .exact_algebra import IntPolynomial, VerificationError, binomial_power
 
 __all__ = [
@@ -116,8 +117,7 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
             yield p, q, len(by_size[q]) * n, list(shifted)
 
 
-@dataclass(frozen=True)
-class SpectralTables:
+class SpectralTables(NamedTuple):
     """Dimension tables of the second and third pages, p <= 4, 0 <= q <= n."""
 
     n: int
@@ -196,8 +196,7 @@ def lemma_f_parts(n: int) -> Tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
     return f0, f1, f2
 
 
-@dataclass(frozen=True)
-class EnBasisElement:
+class EnBasisElement(_Value):
     """Basis element of the bigraded algebra: the unit (grade 0), a
     symbol z_i g_A (grade 1), or a class [z_i^2 g_A] (grade 2).
 
@@ -205,20 +204,21 @@ class EnBasisElement:
     representatives surviving reduction modulo the relation span.
     """
 
-    grade: int
-    z_index: int
-    g_mask: int
+    __slots__ = ("grade", "z_index", "g_mask")
 
-    def __post_init__(self) -> None:
-        if self.grade not in (0, 1, 2):
+    def __init__(self, grade: int, z_index: int, g_mask: int) -> None:
+        if grade not in (0, 1, 2):
             raise ValueError("grade must be 0, 1 or 2")
-        if self.grade == 0 and (self.z_index or self.g_mask):
+        if grade == 0 and (z_index or g_mask):
             raise ValueError("unit carries no symbol data")
-        if self.grade > 0:
-            if self.z_index < 1:
+        if grade > 0:
+            if z_index < 1:
                 raise ValueError("symbol needs a generator index")
-            if self.g_mask >> (self.z_index - 1) & 1:
+            if g_mask >> (z_index - 1) & 1:
                 raise ValueError("symbol index must avoid its subset")
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "z_index", z_index)
+        object.__setattr__(self, "g_mask", g_mask)
 
     @property
     def bidegree(self) -> Tuple[int, int]:
@@ -234,7 +234,8 @@ class EnBasisElement:
         return body if self.grade == 1 else f"[{body}]"
 
 
-Combination = FrozenSet[EnBasisElement]
+if TYPE_CHECKING:  # typing's cache would keep the class and its module alive
+    Combination = FrozenSet[EnBasisElement]
 
 
 def _pairs(n: int) -> Iterator[Tuple[int, List[Tuple[int, int]]]]:
@@ -327,8 +328,7 @@ def en_multiply(
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
-class EnComparison:
+class EnComparison(NamedTuple):
     """Per-bidegree dimension comparison of the algebra with the third page."""
 
     n: int

@@ -14,10 +14,9 @@ must halve exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Tuple
+from typing import Sequence
 
+from . import _Value
 from .exact_algebra import IntPolynomial, VerificationError, binomial_power, rational_rank
 from .cohomology_f2 import poincare_f2_closed
 
@@ -35,14 +34,13 @@ __all__ = [
 DEFAULT_SUBSET_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Value):
     """Sign vector in {+1,-1}^n encoding a one-dimensional module."""
 
-    eps: Tuple[int, ...]
+    __slots__ = ("eps",)
 
-    def __post_init__(self) -> None:
-        eps = tuple(int(v) for v in self.eps)
+    def __init__(self, eps: Sequence[int]) -> None:
+        eps = tuple(int(v) for v in eps)
         if any(v not in (1, -1) for v in eps):
             raise ValueError("character entries must be +-1")
         object.__setattr__(self, "eps", eps)
@@ -82,6 +80,8 @@ def h1_oracle(n: int, eps: Character) -> int:
     single vector (eps_i - 1).  Both dimensions are honest matrix ranks,
     not case formulas.
     """
+    from fractions import Fraction
+
     if eps.n != n:
         raise ValueError("character rank mismatch")
     constraints = [

@@ -21,10 +21,10 @@ and is exposed as rn_action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import _Value
 from .hw_group import DEFAULT_BALL_BUDGET, GroupElement, ball, element_sort_key, identity
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineIsometry:
+class AffineIsometry(_Value):
     """Signed-diagonal affine isometry: v maps to S v + t, where S is
     the diagonal matrix with the entries of ``signs``, each +1 or -1.
 
@@ -52,15 +51,14 @@ class AffineIsometry:
     genuine isometry; construction checks the signs and the lengths.
     """
 
-    signs: Tuple[int, ...]
-    translation: Tuple[Fraction, ...]
+    __slots__ = ("signs", "translation")
 
-    def __post_init__(self) -> None:
-        signs = tuple(self.signs)
+    def __init__(self, signs: Sequence[int], translation: Sequence) -> None:
+        signs = tuple(signs)
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must each be +1 or -1")
         signs = tuple(int(s) for s in signs)
-        translation = tuple(Fraction(v) for v in self.translation)
+        translation = tuple(Fraction(v) for v in translation)
         if len(signs) != len(translation):
             raise ValueError("signs and translation must have matching length")
         object.__setattr__(self, "signs", signs)
@@ -147,8 +145,7 @@ def holonomy_order(n: int) -> int:
     return len(seen)
 
 
-@dataclass(frozen=True)
-class Gamma3Report:
+class Gamma3Report(NamedTuple):
     """Evaluation record of the defining relators in the matrix model."""
 
     ok: bool

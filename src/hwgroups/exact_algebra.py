@@ -12,9 +12,12 @@ pure and allocation-cheap; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
+
+from . import _Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "IntPolynomial",
@@ -31,8 +34,7 @@ class VerificationError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Univariate polynomial with integer coefficients, coeffs[k] at x^k.
 
     The coefficient tuple carries no trailing zeros, so equality of
@@ -40,10 +42,10 @@ class IntPolynomial:
     tuple and degree -1 (the sentinel).
     """
 
-    coeffs: Tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: Sequence[int] = ()) -> None:
+        coeffs = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -186,6 +188,8 @@ def _gauss_jordan(work: List[List[Fraction]], n_cols: int) -> List[int]:
 
 def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     """Rank of a matrix over Q by exact Gaussian elimination."""
+    from fractions import Fraction
+
     work = [[Fraction(v) for v in row] for row in rows]
     if not work:
         return 0

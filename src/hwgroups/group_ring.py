@@ -7,9 +7,9 @@ loop with symmetric-difference accumulation (coefficients live in F_2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List
+from typing import Dict, Iterable, List
 
+from . import _Value
 from .hw_group import (
     ElementSyntaxError,
     GroupElement,
@@ -29,18 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(_Value):
     """Element of F_2[G_n]: the set of group elements with coefficient 1."""
 
-    n: int
-    support: FrozenSet[GroupElement]
+    __slots__ = ("n", "support")
 
-    def __post_init__(self) -> None:
-        support = frozenset(self.support)
+    def __init__(self, n: int, support: Iterable[GroupElement]) -> None:
+        support = frozenset(support)
         for g in support:
-            if g.n != self.n:
+            if g.n != n:
                 raise ValueError("support member of wrong rank")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "support", support)
 
     def __bool__(self) -> bool:

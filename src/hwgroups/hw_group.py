@@ -9,15 +9,18 @@ reduce to folds of append_letter.
 
 Importing this module loads no other module of the package; only a
 failed check in ``abelianization_invariants`` imports ``exact_algebra``,
-for its ``VerificationError``.
+for its ``VerificationError``.  Of the standard library it imports only
+``re``, ``sys`` and ``typing``, which ``cli`` has loaded before any
+command runs; no ``dataclasses`` and no ``fractions``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+from . import _Value
 
 __all__ = [
     "GroupElement",
@@ -61,16 +64,14 @@ class BallBudgetError(RuntimeError):
     """Raised when a ball enumeration would exceed its element budget."""
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Normal form (w, t): reduced word part and lattice exponent vector."""
 
-    w: Tuple[int, ...]
-    t: Tuple[int, ...]
+    __slots__ = ("w", "t")
 
-    def __post_init__(self) -> None:
-        w = tuple(int(i) for i in self.w)
-        t = tuple(int(v) for v in self.t)
+    def __init__(self, w: Sequence[int], t: Sequence[int]) -> None:
+        w = tuple(int(i) for i in w)
+        t = tuple(int(v) for v in t)
         n = len(t)
         prev = 0
         for letter in w:

@@ -6,9 +6,8 @@ distinguished free subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .exact_algebra import VerificationError
 
@@ -53,8 +52,7 @@ def commutator_rank(n: int) -> int:
     return 1 + (n - 2) * 2 ** (n - 1)
 
 
-@dataclass(frozen=True)
-class HKernelReport:
+class HKernelReport(NamedTuple):
     """Rank data for the kernel of the sign representation of W_n.
 
     s is the exponent of the image (a 2-group of order 2^s), so the

@@ -507,6 +507,12 @@ IMPORT_SETS = [
 ]
 
 
+# The commands whose results hold a Fraction, and so the only ones that
+# load ``fractions``.  No command loads ``dataclasses`` or ``inspect``.
+FRACTION_COMMANDS = {"ranks", "gamma3-verify", "action", "probe fixed-point",
+                     "probe injectivity"}
+
+
 @pytest.mark.parametrize("argv, code, modules",
                          [pytest.param(*case, id=" ".join(case[0])) for case in IMPORT_SETS])
 def test_commands_load_only_their_modules(argv, code, modules, tmp_path):
@@ -515,6 +521,11 @@ def test_commands_load_only_their_modules(argv, code, modules, tmp_path):
     loaded = {m for m in _IMPORT_LINE.findall(proc.stderr) if m.split(".")[0] == "hwgroups"}
     assert proc.returncode == code, proc.stderr
     assert loaded == {"hwgroups"} | {f"hwgroups.{m}" for m in modules}
+    # What the process imports once interpreter start-up (site) is done.
+    after_site = set(_IMPORT_LINE.findall(proc.stderr.split("| site\n", 1)[-1]))
+    command = " ".join(argv[:2]) if argv[0] == "probe" else argv[0]
+    assert after_site & {"dataclasses", "inspect", "fractions"} == (
+        {"fractions"} if command in FRACTION_COMMANDS else set())
 
 
 def test_abelianization_of_rank_800_answers_at_once():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import ast
+import copy
 import doctest
 import importlib
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,31 @@ def test_exports_are_imported_on_first_use():
     assert proc.stdout.splitlines() == ["['hwgroups'] pure",
                                         "['hwgroups', 'hwgroups.hw_group']",
                                         "hwgroups.cli"]
+
+
+def test_a_fresh_import_frees_the_classes_of_the_last():
+    # perfbench imports the package afresh several times in one process.
+    # A stale class kept alive, say by typing's cache of FrozenSet[...],
+    # keeps its module's globals alive too, and with them, through
+    # _Value, the old package and every module it imported.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hwgroups.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    body = ("import gc, importlib, sys, weakref\n"
+            "def classes():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'hwgroups']:\n"
+            "        del sys.modules[name]\n"
+            f"    mods = [importlib.import_module(name) for name in {MODULES!r}]\n"
+            "    return [v for m in mods for v in vars(m).values()\n"
+            "            if isinstance(v, type) and v.__module__ == m.__name__]\n"
+            "stale = [weakref.ref(c) for c in classes()]\n"
+            "assert len(stale) > 10 and classes()\n"
+            "gc.collect()\n"
+            "print(sorted(r().__qualname__ for r in stale if r() is not None))\n")
+    proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_names_raise_attribute_error():
@@ -112,3 +140,64 @@ def test_every_public_name_has_a_user():
                           for bound, loaded in statements)
               and not re.search(rf"\b{re.escape(attr)}\b", outside)]
     assert not unused, f"public names with no user: {', '.join(unused)}"
+
+
+# One value of each immutable class, built by keyword from fields that
+# are already in normal form, and its repr, which is the frozen
+# dataclass form the classes had (perfbench hashes the repr of its ops).
+VALUES = [
+    ("hw_group", "GroupElement", {"w": (1, 2), "t": (0, -1)},
+     "GroupElement(w=(1, 2), t=(0, -1))"),
+    ("exact_algebra", "IntPolynomial", {"coeffs": (1, 0, -2)},
+     "IntPolynomial(coeffs=(1, 0, -2))"),
+    ("cohomology_q", "Character", {"eps": (1, -1, -1)}, "Character(eps=(1, -1, -1))"),
+    ("cohomology_f2", "EnBasisElement", {"grade": 2, "z_index": 1, "g_mask": 6},
+     "EnBasisElement(grade=2, z_index=1, g_mask=6)"),
+    ("crystal", "AffineIsometry",
+     {"signs": (1, -1), "translation": (Fraction(1, 2), Fraction(0))},
+     "AffineIsometry(signs=(1, -1), translation=(Fraction(1, 2), Fraction(0, 1)))"),
+    ("group_ring", "RingElement", {"n": 1, "support": frozenset({hwgroups.identity(1)})},
+     "RingElement(n=1, support=frozenset({GroupElement(w=(), t=(0,))}))"),
+]
+
+
+@pytest.mark.parametrize("module, name, fields, text", VALUES, ids=[v[1] for v in VALUES])
+def test_value_semantics(module, name, fields, text):
+    cls = getattr(importlib.import_module(f"hwgroups.{module}"), name)
+    value = cls(**fields)
+    key = tuple(fields.values())
+    assert repr(value) == text
+    assert value == cls(*key) and hash(value) == hash(cls(*key)) == hash(key)
+    assert value.__eq__(key) is NotImplemented and value != key
+    assert not hasattr(value, "__dict__")  # __slots__ only
+    field = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(value, field, fields[field])
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+    if name == "IntPolynomial":
+        assert cls() == cls(coeffs=()) and repr(cls()) == "IntPolynomial(coeffs=())"
+
+
+# Each record, the call that returns one, and its field names in order.
+RECORDS = [
+    ("cohomology_f2", "SpectralTables", lambda m: m.spectral_tables(1),
+     ("n", "e2", "z2", "b2", "e3")),
+    ("cohomology_f2", "EnComparison", lambda m: m.en_vs_e3(1), ("n", "ok", "rows")),
+    ("crystal", "Gamma3Report", lambda m: m.verify_hom_g2_gamma3(),
+     ("ok", "relator_xy", "relator_yx", "a_squared", "b_squared")),
+    ("quotient_w", "HKernelReport", lambda m: m.kernel_rank_details(4),
+     ("rank", "s", "index", "euler")),
+]
+
+
+@pytest.mark.parametrize("module, name, build, names", RECORDS, ids=[r[1] for r in RECORDS])
+def test_record_fields_and_repr(module, name, build, names):
+    record = build(importlib.import_module(f"hwgroups.{module}"))
+    assert type(record).__name__ == name and type(record)._fields == names
+    values = [getattr(record, k) for k in names]
+    assert tuple(record) == tuple(values)
+    assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
+
