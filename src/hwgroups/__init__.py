@@ -5,8 +5,8 @@ x_i^-1 x_j^2 x_i x_j^2 for i != j.  Everything in this package works
 over exact types: normal forms with integer lattice vectors, monomial
 d_2 blocks, ranked by counting distinct columns, a bigraded algebra
 read off its disjoint relations, rational matrices, and integer
-polynomials.
-Floating point is never used.
+polynomials.  Floating point is never used.  The package's errors and
+limits are defined here, in the one module every process loads.
 
 Headline entry points are re-exported here; the modules hold the rest:
 
@@ -17,7 +17,7 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: polynomials, rational rank, ``VerificationError``.
+- ``exact_algebra``: integer polynomials and rational rank.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 
@@ -25,6 +25,52 @@ from __future__ import annotations
 
 import importlib
 import operator
+import sys
+
+DEFAULT_BALL_BUDGET = 10**6
+
+
+class VerificationError(AssertionError):
+    """A mathematical identity the package checks at run time failed.
+
+    Raised explicitly rather than by ``assert`` so the check still runs
+    under ``python -O``.
+    """
+
+
+class ElementSyntaxError(ValueError):
+    """Raised when element text cannot be parsed; carries the offset."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(f"{message} (at position {position})")
+        self.message = message
+        self.position = position
+
+
+class BallBudgetError(RuntimeError):
+    """Raised when a ball enumeration would exceed its element budget."""
+
+
+def _too_many_digits(name: str) -> ValueError:
+    return ValueError(f"{name} has more than {sys.get_int_max_str_digits()} "
+                      "digits, the limit of sys.get_int_max_str_digits()")
+
+
+def decimal_text(value, name: str) -> str:
+    """str(value), or a ValueError naming the value and the limit when it
+    has more digits than ``str`` converts."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _too_many_digits(name) from None
+
+
+def check_digits(bits: int, name: str) -> None:
+    """``decimal_text``'s ValueError, raised before a value of at least
+    2^bits is computed when 2^bits > 10^limit (a limit of 0 is none)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and bits >= (10**limit).bit_length():
+        raise _too_many_digits(name)
 
 
 class _Value:
@@ -91,7 +137,9 @@ __version__ = "0.1.0"
 # value, for callers that record which backend produced a result.
 F2_BACKEND = "pure"
 
-__all__ = ["F2_BACKEND", "__version__", *sorted(_EXPORTS)]
+__all__ = ["BallBudgetError", "DEFAULT_BALL_BUDGET", "ElementSyntaxError", "F2_BACKEND",
+           "VerificationError", "__version__", "check_digits", "decimal_text",
+           *sorted(_EXPORTS)]
 
 
 def __getattr__(name: str):

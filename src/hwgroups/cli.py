@@ -5,10 +5,12 @@ lines)`` that prints nothing: ``record`` is the result as a JSON object
 and ``lines`` is its text form (CSV for ``e3-table``).  ``main`` renders
 exactly one of the two, chosen by ``--format``, so identical invocations
 are byte-identical.  A command refuses an input by raising
-``ValueError``, which ``main`` reports on stderr as ``error: ...``.
+``ValueError``, which ``main`` reports on stderr as ``error: ...``;
+it catches the package root's errors by class and reports them as
+``verification failed``, ``parse error`` or ``resource guard``.
 Exit codes: 0 success or verification pass, 1 verification failure
-(mismatch, probe findings, unique products found), 2 usage or input
-errors.
+(mismatch, probe findings, unique products found, a failed run-time
+check), 2 usage or input errors.
 
 Each command imports the library modules it uses when it runs, so a
 process loads only those: ``nf`` needs ``hw_group`` alone, and
@@ -22,30 +24,18 @@ import re
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
+               VerificationError, check_digits, decimal_text)
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .exact_algebra import IntPolynomial
     from .hw_group import GroupElement
 
 __all__ = ["main", "build_parser"]
 
 CLOSED_N_BOUND = 20
 SPECTRAL_N_BOUND = 12
-# The default --budget, equal to hw_group.DEFAULT_BALL_BUDGET (a test
-# checks this); defined here so that building the parser imports no
-# library module.
-DEFAULT_BALL_BUDGET = 10**6
-
-# A library exception and how main reports it: (module, class, stderr
-# prefix, exit code), most specific first.  A class is looked up only in
-# a module this process has imported; a module never imported raised
-# nothing.  Any other ValueError is reported as "error", exit code 2.
-ERRORS = (
-    ("hw_group", "ElementSyntaxError", "parse error", 2),
-    ("hw_group", "BallBudgetError", "resource guard", 2),
-    ("exact_algebra", "VerificationError", "verification failed", 1),
-)
 
 Result = Tuple[int, Dict, List[str]]
 
@@ -81,6 +71,17 @@ def cmd_inv(args: argparse.Namespace) -> Result:
     return _element_result(hw_group.inverse(hw_group.parse_element(args.word, args.n)))
 
 
+def _series_name(n: int) -> str:
+    """Name the coefficients of a rank-n series, once n passes check_digits."""
+    # Both series have n + 2 coefficients and at x = 1 sum to 2 + (n-1) 2^n
+    # (F_2) or 2 + 2 c_n + (n-2) 2^(n-1) (Q), so the largest coefficient is
+    # at least (n-2) 2^(n-1) / (n+2) >= 2^(n-2) for n >= 6.  The check fires
+    # only at n - 2 >= 2127, the bit length of 10^640, the least nonzero limit.
+    name = f"n={n}: a coefficient"
+    check_digits(n - 2, name)
+    return name
+
+
 def cmd_poincare(args: argparse.Namespace) -> Result:
     if not args.unsafe_large:
         if args.method != "closed" and args.n > SPECTRAL_N_BOUND:
@@ -89,6 +90,7 @@ def cmd_poincare(args: argparse.Namespace) -> Result:
         if args.n > CLOSED_N_BOUND:
             raise ValueError(f"n={args.n} exceeds the closed-form bound "
                              f"{CLOSED_N_BOUND} (pass --unsafe-large to force)")
+    name = _series_name(args.n)
     if args.field == "f2":
         from . import cohomology_f2
 
@@ -97,9 +99,7 @@ def cmd_poincare(args: argparse.Namespace) -> Result:
     else:
         from . import cohomology_q
 
-        def spectral_fn(n: int) -> IntPolynomial:
-            return cohomology_q.poincare_q_spectral(n, subset_limit=max(n, 16))
-
+        spectral_fn = cohomology_q.poincare_q_spectral
         closed_fn = cohomology_q.poincare_q_closed
     head = {"n": args.n, "field": args.field, "method": args.method}
     if args.method == "both":
@@ -108,11 +108,13 @@ def cmd_poincare(args: argparse.Namespace) -> Result:
         match = spectral == closed
         record = {**head, "spectral": list(spectral.coeffs),
                   "closed": list(closed.coeffs), "match": match}
-        lines = [f"spectral: {spectral}", f"closed: {closed}",
+        lines = [f"spectral: {decimal_text(spectral, name)}",
+                 f"closed: {decimal_text(closed, name)}",
                  f"match: {'yes' if match else 'no'}"]
         return (0 if match else 1), record, lines
     poly = spectral_fn(args.n) if args.method == "spectral" else closed_fn(args.n)
-    return 0, {**head, "coeffs": list(poly.coeffs), "text": str(poly)}, [str(poly)]
+    text = decimal_text(poly, name)
+    return 0, {**head, "coeffs": list(poly.coeffs), "text": text}, [text]
 
 
 def cmd_e3_table(args: argparse.Namespace) -> Result:
@@ -149,14 +151,10 @@ def cmd_abelianization(args: argparse.Namespace) -> Result:
 
 
 def cmd_ranks(args: argparse.Namespace) -> Result:
-    from . import hw_group, quotient_w
+    from . import quotient_w
 
-    # commutator_rank >= 2^(n-1): refuse before building huge integers when
-    # 2^(n-1) alone has more digits than str converts (0 means no limit).
-    limit = sys.get_int_max_str_digits()
-    if limit and args.n - 1 >= (10**limit).bit_length():
-        raise ValueError(f"n={args.n}: commutator_rank has more than {limit} "
-                         "digits, the limit of sys.get_int_max_str_digits()")
+    # commutator_rank = 1 + (n-2) 2^(n-1) >= 2^(n-1) for n >= 3
+    check_digits(args.n - 1, f"n={args.n}: commutator_rank")
     details = quotient_w.kernel_rank_details(args.n)
     # The text form is these fields as "key: value" lines, in this order;
     # JSON keeps the integers as numbers and the fractions as strings.
@@ -169,7 +167,7 @@ def cmd_ranks(args: argparse.Namespace) -> Result:
         "kernel_index": details.index,
         "euler_kernel": details.euler,
     }
-    text = {k: hw_group.decimal_text(v, f"n={args.n}: {k}") for k, v in fields.items()}
+    text = {k: decimal_text(v, f"n={args.n}: {k}") for k, v in fields.items()}
     record = {k: v if isinstance(v, int) else text[k] for k, v in fields.items()}
     return 0, {"n": args.n, **record}, [f"{k}: {v}" for k, v in text.items()]
 
@@ -227,7 +225,7 @@ def cmd_action(args: argparse.Namespace) -> Result:
 
     g = hw_group.parse_element(args.word, args.n)
     vec = _parse_vector(args.vector, args.n)
-    out = [hw_group.decimal_text(v, f"output coordinate {k}")
+    out = [decimal_text(v, f"output coordinate {k}")
            for k, v in enumerate(crystal.rn_action(g, vec), 1)]
     record = {
         "n": args.n,
@@ -289,7 +287,7 @@ def cmd_up_check(args: argparse.Namespace) -> Result:
     if not x_set or not y_set:
         raise ValueError("set files must contain at least one element each")
     tally = group_ring.product_tally(x_set, y_set)
-    witnesses = [hw_group.format_element(g) for g in group_ring._unique_products(tally)]
+    witnesses = [hw_group.format_element(g) for g in group_ring.unique_products(tally)]
     record = {
         "n": args.n,
         "x_size": len(x_set),
@@ -307,6 +305,7 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
 
     if args.n % 2:
         raise ValueError("mod-2 congruence is only claimed for even n")
+    name = _series_name(args.n)
     rational = cohomology_q.poincare_q_closed(args.n)
     modular = cohomology_f2.poincare_f2_closed(args.n)
     congruent = cohomology_q.congruent_mod2(rational, modular)
@@ -316,7 +315,8 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
         "f2": list(modular.coeffs),
         "congruent_mod_2": congruent,
     }
-    lines = [f"rational: {rational}", f"f2: {modular}",
+    lines = [f"rational: {decimal_text(rational, name)}",
+             f"f2: {decimal_text(modular, name)}",
              f"congruent mod 2: {'yes' if congruent else 'no'}"]
     return (0 if congruent else 1), record, lines
 
@@ -391,14 +391,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         code, record, lines = args.func(args)
-    except Exception as exc:
-        for module, name, prefix, exit_code in ERRORS:
-            cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
-            if cls is not None and isinstance(exc, cls):
-                sys.stderr.write(f"{prefix}: {exc}\n")
-                return exit_code
-        if not isinstance(exc, ValueError):
-            raise
+    except VerificationError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
+    except ElementSyntaxError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return 2
+    except BallBudgetError as exc:
+        sys.stderr.write(f"resource guard: {exc}\n")
+        return 2
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.format == "json":

@@ -35,8 +35,8 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Tuple, Union)
 
-from . import _Value
-from .exact_algebra import IntPolynomial, VerificationError, binomial_power
+from . import VerificationError, _Value
+from .exact_algebra import IntPolynomial, binomial_power
 
 __all__ = [
     "d2_rows",

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import _Value
-from .exact_algebra import IntPolynomial, VerificationError, binomial_power, rational_rank
+from . import VerificationError, _Value
+from .exact_algebra import IntPolynomial, binomial_power, rational_rank
 from .cohomology_f2 import poincare_f2_closed
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "poincare_q_closed",
     "mod2_compare",
     "congruent_mod2",
-    "DEFAULT_SUBSET_LIMIT",
 ]
-
-DEFAULT_SUBSET_LIMIT = 16
 
 
 class Character(_Value):
@@ -94,21 +91,17 @@ def h1_oracle(n: int, eps: Character) -> int:
     return cocycle_dim - coboundary_dim
 
 
-def poincare_q_spectral(n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> IntPolynomial:
+def poincare_q_spectral(n: int) -> IntPolynomial:
     """Poincare polynomial as the sum over all 2^n wedge characters.
 
     Column p contributes x^p * x^|A| * h^p of the character of g_A, and
     columns p > 1 vanish.  Each mask A is one term, read off the bitmask
     m of the character's -1 positions: h^0 = 1 when m = 0, and otherwise
     h^1 = |m| - 1, the value ``h1`` gives on the explicit character.
-    Guarded by subset_limit since the term count is exponential.
+    The term count is exponential; ``cli`` bounds n.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if n > subset_limit:
-        raise ValueError(
-            f"rank {n} exceeds the subset-sum guard {subset_limit}; "
-            "raise subset_limit explicitly to force this")
     full = (1 << n) - 1
     coeffs = [0] * (n + 2)
     for mask in range(1 << n):

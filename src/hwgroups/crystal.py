@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import _Value
-from .hw_group import DEFAULT_BALL_BUDGET, GroupElement, ball, element_sort_key, identity
+from . import DEFAULT_BALL_BUDGET, _Value
+from .hw_group import GroupElement, ball, element_sort_key, identity
 
 __all__ = [
     "AffineIsometry",

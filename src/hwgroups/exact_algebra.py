@@ -1,20 +1,21 @@
 """Exact arithmetic substrate.
 
 Integer polynomials with their binomial rows (1 +- x)^m, the rank of a
-matrix over Q, and the error the package's run-time checks raise.  No
-Smith normal form is needed: the abelianization's relator rows are
-a diagonal matrix up to permutation (``hw_group``).  No GF(2) elimination is
-needed anywhere: the spectral sequence has monomial d_2 blocks, ranked
-by counting distinct columns, and the bigraded algebra has relations
-with disjoint supports, both in ``cohomology_f2``.  Everything here is
-pure and allocation-cheap; no floating point is used anywhere.
+matrix over Q, and the package root's ``VerificationError``, re-exported.  No
+Smith normal form is needed: the abelianization's relator rows are a
+diagonal matrix up to permutation (``hw_group``).  No GF(2) elimination
+is needed anywhere: the spectral sequence has monomial d_2 blocks,
+ranked by counting distinct columns, and the bigraded algebra has
+relations with disjoint supports, both in ``cohomology_f2``.
+Everything here is pure and allocation-cheap; no floating point is
+used anywhere.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Union
 
-from . import _Value
+from . import VerificationError, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -23,15 +24,7 @@ __all__ = [
     "IntPolynomial",
     "binomial_power",
     "rational_rank",
-    "VerificationError",
 ]
-
-class VerificationError(AssertionError):
-    """A mathematical identity the package checks at run time failed.
-
-    Raised explicitly rather than by ``assert`` so the check still runs
-    under ``python -O``.
-    """
 
 
 class IntPolynomial(_Value):

@@ -9,21 +9,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from . import _Value
-from .hw_group import (
-    ElementSyntaxError,
-    GroupElement,
-    element_sort_key,
-    identity,
-    multiply,
-    parse_element,
-)
+from . import ElementSyntaxError, _Value
+from .hw_group import GroupElement, element_sort_key, identity, multiply, parse_element
 
 __all__ = [
     "RingElement",
     "ring_one",
     "ring_mul",
     "product_tally",
+    "unique_products",
     "unique_product_witnesses",
     "parse_set_file",
 ]
@@ -87,10 +81,10 @@ def unique_product_witnesses(
 
     An empty result certifies (X, Y) as a nonunique-product pair.
     """
-    return _unique_products(product_tally(x_set, y_set))
+    return unique_products(product_tally(x_set, y_set))
 
 
-def _unique_products(tally: Dict[GroupElement, int]) -> List[GroupElement]:
+def unique_products(tally: Dict[GroupElement, int]) -> List[GroupElement]:
     """The products a tally counts exactly once, in canonical order."""
     return sorted((g for g, count in tally.items() if count == 1), key=element_sort_key)
 

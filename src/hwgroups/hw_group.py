@@ -7,9 +7,9 @@ lattice vector by the sign action and either extends the word or cancels
 its last letter while emitting a lattice unit, so all group operations
 reduce to folds of append_letter.
 
-Importing this module loads no other module of the package; only a
-failed check in ``abelianization_invariants`` imports ``exact_algebra``,
-for its ``VerificationError``.  Of the standard library it imports only
+Importing this module loads no other module of the package: its errors,
+``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
+and are re-exported here.  Of the standard library it imports only
 ``re``, ``sys`` and ``typing``, which ``cli`` has loaded before any
 command runs; no ``dataclasses`` and no ``fractions``.
 """
@@ -20,13 +20,11 @@ import re
 import sys
 from typing import List, Sequence, Tuple
 
-from . import _Value
+from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
+               VerificationError, _Value, decimal_text)
 
 __all__ = [
     "GroupElement",
-    "ElementSyntaxError",
-    "BallBudgetError",
-    "DEFAULT_BALL_BUDGET",
     "identity",
     "generator",
     "sign_action",
@@ -37,7 +35,6 @@ __all__ = [
     "power",
     "commutator",
     "parse_element",
-    "decimal_text",
     "format_element",
     "project_w",
     "abelianize",
@@ -47,22 +44,6 @@ __all__ = [
     "center_probe",
     "element_sort_key",
 ]
-
-DEFAULT_BALL_BUDGET = 10**6
-
-
-class ElementSyntaxError(ValueError):
-    """Raised when element text cannot be parsed; carries the offset."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
-        self.message = message
-        self.position = position
-
-
-class BallBudgetError(RuntimeError):
-    """Raised when a ball enumeration would exceed its element budget."""
-
 
 class GroupElement(_Value):
     """Normal form (w, t): reduced word part and lattice exponent vector."""
@@ -232,17 +213,6 @@ def parse_element(s: str, n: int) -> GroupElement:
     return out
 
 
-def decimal_text(value, name: str) -> str:
-    """str(value), or a ValueError naming the value and the limit when it
-    has more digits than ``str`` converts."""
-    try:
-        return str(value)
-    except ValueError:
-        raise ValueError(
-            f"{name} has more than {sys.get_int_max_str_digits()} "
-            "digits, the limit of sys.get_int_max_str_digits()") from None
-
-
 def format_element(g: GroupElement) -> str:
     """Canonical text form: 'w = x1 x2 | t = (1,-1)'.
 
@@ -306,7 +276,6 @@ def abelianization_invariants(n: int) -> Tuple[int, ...]:
             sums[letter] = sums.get(letter, 0) + exp
         row = [(col, v) for col, v in sums.items() if v]
         if len(row) != 1 or row[0][0] in columns:
-            from .exact_algebra import VerificationError
             raise VerificationError(f"relator row {row} for x_{j} is not one nonzero "
                                     "entry in a column of its own")
         columns.add(row[0][0])
@@ -314,7 +283,6 @@ def abelianization_invariants(n: int) -> Tuple[int, ...]:
     factors.sort()
     for a, b in zip(factors, factors[1:]):
         if b % a:
-            from .exact_algebra import VerificationError
             raise VerificationError(f"invariant factor {a} does not divide {b}")
     return tuple(factors)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .exact_algebra import VerificationError
+from . import VerificationError
 
 __all__ = [
     "reduce_w",

@@ -58,7 +58,7 @@ def test_criterion_01_poincare_f2() -> None:
 def test_criterion_02_poincare_q() -> None:
     start = time.perf_counter()
     ok = all(
-        poincare_q_spectral(n, subset_limit=16) == poincare_q_closed(n)
+        poincare_q_spectral(n) == poincare_q_closed(n)
         for n in range(15)
     )
     elapsed = time.perf_counter() - start

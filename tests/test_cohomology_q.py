@@ -113,9 +113,7 @@ def test_poincare_q_values():
 
 
 def test_poincare_q_guard():
-    with pytest.raises(ValueError):
-        poincare_q_spectral(17)
-    assert poincare_q_spectral(17, subset_limit=17) == poincare_q_closed(17)
+    assert poincare_q_spectral(17) == poincare_q_closed(17)
 
 
 def test_euler_characteristic_vanishes():

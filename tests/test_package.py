@@ -201,3 +201,30 @@ def test_record_fields_and_repr(module, name, build, names):
     assert tuple(record) == tuple(values)
     assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
 
+
+# Each name the package root defines for every module, and the modules
+# that import it from there, so that their attribute is the root's object.
+SHARED = {
+    "VerificationError": ("exact_algebra", "hw_group", "quotient_w", "cohomology_f2",
+                          "cohomology_q", "cli"),
+    "ElementSyntaxError": ("hw_group", "group_ring", "cli"),
+    "BallBudgetError": ("hw_group", "cli"),
+    "DEFAULT_BALL_BUDGET": ("hw_group", "crystal", "cli"),
+    "decimal_text": ("hw_group", "cli"),
+}
+
+
+def test_errors_and_limits_are_defined_once_in_the_root():
+    # Every exception class is the root's, so cli catches each by class.
+    mods = [importlib.import_module(name) for name in MODULES]
+    strays = [f"{m.__name__}.{name}" for m in mods for name, v in vars(m).items()
+              if isinstance(v, type) and issubclass(v, BaseException)
+              and v.__module__.startswith("hwgroups") and v.__module__ != "hwgroups"]
+    assert not strays
+    sources = "".join(path.read_text(encoding="utf-8")
+                      for path in (ROOT / "src" / "hwgroups").glob("*.py"))
+    assert len(re.findall(r"^\s*DEFAULT_BALL_BUDGET\s*=", sources, re.MULTILINE)) == 1
+    for name, modules in SHARED.items():
+        for module in modules:
+            assert getattr(importlib.import_module(f"hwgroups.{module}"), name) is \
+                getattr(hwgroups, name), (module, name)
