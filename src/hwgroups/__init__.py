@@ -27,6 +27,7 @@ import importlib
 import operator
 import sys
 
+# Elements a ball may hold; ``cli`` also refuses any larger enumeration.
 DEFAULT_BALL_BUDGET = 10**6
 
 

@@ -8,9 +8,11 @@ are byte-identical.  A command refuses an input by raising
 ``ValueError``, which ``main`` reports on stderr as ``error: ...``;
 it catches the package root's errors by class and reports them as
 ``verification failed``, ``parse error`` or ``resource guard``.
+Before a command with ``--n`` runs, ``main`` refuses a request whose
+output is too long or whose enumeration exceeds the ball's budget.
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found, a failed run-time
-check), 2 usage or input errors.
+check), 2 usage or input errors, an oversized request among them.
 
 Each command imports the library modules it uses when it runs, so a
 process loads only those: ``nf`` needs ``hw_group`` alone, and
@@ -33,9 +35,6 @@ if TYPE_CHECKING:
     from .hw_group import GroupElement
 
 __all__ = ["main", "build_parser"]
-
-CLOSED_N_BOUND = 20
-SPECTRAL_N_BOUND = 12
 
 Result = Tuple[int, Dict, List[str]]
 
@@ -71,26 +70,8 @@ def cmd_inv(args: argparse.Namespace) -> Result:
     return _element_result(hw_group.inverse(hw_group.parse_element(args.word, args.n)))
 
 
-def _series_name(n: int) -> str:
-    """Name the coefficients of a rank-n series, once n passes check_digits."""
-    # Both series have n + 2 coefficients and at x = 1 sum to 2 + (n-1) 2^n
-    # (F_2) or 2 + 2 c_n + (n-2) 2^(n-1) (Q), so the largest coefficient is
-    # at least (n-2) 2^(n-1) / (n+2) >= 2^(n-2) for n >= 6.  The check fires
-    # only at n - 2 >= 2127, the bit length of 10^640, the least nonzero limit.
-    name = f"n={n}: a coefficient"
-    check_digits(n - 2, name)
-    return name
-
-
 def cmd_poincare(args: argparse.Namespace) -> Result:
-    if not args.unsafe_large:
-        if args.method != "closed" and args.n > SPECTRAL_N_BOUND:
-            raise ValueError(f"n={args.n} exceeds the spectral/subset-sum bound "
-                             f"{SPECTRAL_N_BOUND} (pass --unsafe-large to force)")
-        if args.n > CLOSED_N_BOUND:
-            raise ValueError(f"n={args.n} exceeds the closed-form bound "
-                             f"{CLOSED_N_BOUND} (pass --unsafe-large to force)")
-    name = _series_name(args.n)
+    name = f"n={args.n}: a coefficient"
     if args.field == "f2":
         from . import cohomology_f2
 
@@ -153,8 +134,6 @@ def cmd_abelianization(args: argparse.Namespace) -> Result:
 def cmd_ranks(args: argparse.Namespace) -> Result:
     from . import quotient_w
 
-    # commutator_rank = 1 + (n-2) 2^(n-1) >= 2^(n-1) for n >= 3
-    check_digits(args.n - 1, f"n={args.n}: commutator_rank")
     details = quotient_w.kernel_rank_details(args.n)
     # The text form is these fields as "key: value" lines, in this order;
     # JSON keeps the integers as numbers and the fractions as strings.
@@ -305,7 +284,7 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
 
     if args.n % 2:
         raise ValueError("mod-2 congruence is only claimed for even n")
-    name = _series_name(args.n)
+    name = f"n={args.n}: a coefficient"
     rational = cohomology_q.poincare_q_closed(args.n)
     modular = cohomology_f2.poincare_f2_closed(args.n)
     congruent = cohomology_q.congruent_mod2(rational, modular)
@@ -319,6 +298,38 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
              f"f2: {decimal_text(modular, name)}",
              f"congruent mod 2: {'yes' if congruent else 'no'}"]
     return (0 if congruent else 1), record, lines
+
+
+def _check_size(args: argparse.Namespace) -> None:
+    """Refuse a request before any work when its largest output number is
+    proved to fail ``check_digits``, or when it enumerates more items than
+    ``DEFAULT_BALL_BUDGET`` (``--unsafe-large`` lifts this on ``poincare``)."""
+    n, command = args.n, args.command
+    if command in ("poincare", "mod2-check"):
+        # Both series have n + 2 coefficients and at x = 1 sum to 2 + (n-1) 2^n
+        # (F_2) or 2 + 2 c_n + (n-2) 2^(n-1) (Q), so the largest coefficient is
+        # at least (n-2) 2^(n-1) / (n+2) >= 2^(n-2) for n >= 6.  The check fires
+        # only at n - 2 >= 2127, the bit length of 10^640, the least nonzero limit.
+        check_digits(n - 2, f"n={n}: a coefficient")
+    elif command == "ranks":
+        # commutator_rank = 1 + (n-2) 2^(n-1) >= 2^(n-1) for n >= 3
+        check_digits(n - 1, f"n={n}: commutator_rank")
+    # By default the coordinates of one rank-n element; 2^n is compared
+    # with its exponent capped, so a huge n builds no huge int.
+    count, items = n, f"{n} coordinates"
+    if command == "e3-table" or command == "poincare" and args.method != "closed":
+        count, items = 1 << min(n, 64), f"2^{n} subsets"
+    elif command == "en-basis":
+        count, items = n << min(n, 64), f"{n}*2^{n} pairs (i, A)"
+    elif command == "probe":
+        # a ball of radius >= 1 holds 2n+1 elements of n coordinates each
+        count, command = n * (2 * n + 1), f"probe {args.kind}"
+        items = f"at least {count} coordinates"
+    lift = getattr(args, "unsafe_large", None)
+    if count > DEFAULT_BALL_BUDGET and not lift:
+        hint = "" if lift is None else " (pass --unsafe-large to force)"
+        raise ValueError(f"n={n}: {command} enumerates {items}, more than the "
+                         f"enumeration bound {DEFAULT_BALL_BUDGET}{hint}")
 
 
 def _command(sub, name: str, summary: str, func, n_min: Optional[int], *arguments,
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
              ("--method", {"choices": ("spectral", "closed", "both"),
                            "default": "both"}),
              ("--unsafe-large", {"action": "store_true",
-                                 "help": "lift the rank bounds"}))
+                                 "help": "lift the enumeration bound"}))
     _command(sub, "e3-table", "final-page dimension table", cmd_e3_table, 0,
              formats=("csv", "json"))
     _command(sub, "en-basis", "bigraded algebra basis", cmd_en_basis, 0)
@@ -390,6 +401,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"--n must be at least {args.n_min} for this command\n")
         return 2
     try:
+        if args.n_min is not None:
+            _check_size(args)
         code, record, lines = args.func(args)
     except VerificationError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")

@@ -98,7 +98,7 @@ def poincare_q_spectral(n: int) -> IntPolynomial:
     columns p > 1 vanish.  Each mask A is one term, read off the bitmask
     m of the character's -1 positions: h^0 = 1 when m = 0, and otherwise
     h^1 = |m| - 1, the value ``h1`` gives on the explicit character.
-    The term count is exponential; ``cli`` bounds n.
+    The term count is exponential; ``cli`` refuses 2^n over its enumeration bound.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")

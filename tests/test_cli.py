@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from hwgroups import cohomology_f2, crystal, group_ring, hw_group
-from hwgroups.cli import build_parser, main
+from hwgroups.cli import _check_size, build_parser, main
 from hwgroups.exact_algebra import VerificationError
 
 
@@ -88,18 +88,100 @@ def test_poincare_q_json_coefficients_low_degree_first():
 
 
 def test_poincare_bounds():
-    code, _, err = run_cli("poincare", "--n", "13", "--field", "f2",
+    code, _, err = run_cli("poincare", "--n", "20", "--field", "f2",
                            "--method", "spectral")
     assert code == 2 and "--unsafe-large" in err
-    code, _, _ = run_cli("poincare", "--n", "13", "--field", "f2",
+    code, _, _ = run_cli("poincare", "--n", "20", "--field", "f2",
                          "--method", "closed")
     assert code == 0
-    code, _, err = run_cli("poincare", "--n", "21", "--field", "f2",
+    code, _, err = run_cli("poincare", "--n", "14287", "--field", "f2",
                            "--method", "closed")
     assert code == 2
-    code, _, _ = run_cli("poincare", "--n", "13", "--field", "q",
+    code, _, _ = run_cli("poincare", "--n", "20", "--field", "q",
                          "--method", "spectral", "--unsafe-large")
     assert code == 0
+    # a closed form costs milliseconds, and 2^16 subsets are under the budget
+    for argv in (("poincare", "--field", "q", "--method", "closed", "--n", "21"),
+                 ("poincare", "--field", "f2", "--method", "spectral", "--n", "16")):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "") and out
+
+
+def _size_refused(*argv):
+    try:
+        _check_size(build_parser().parse_args(argv))
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("e3-table", "--n", "26"), "2^26 subsets"),
+    (("en-basis", "--n", "24"), "24*2^24 pairs (i, A)"),
+    (("poincare", "--field", "f2", "--method", "spectral", "--n", "20"), "2^20 subsets"),
+    (("nf", "--n", "10000000", "x1"), "10000000 coordinates"),
+    (("abelianization", "--n", "10000000"), "10000000 coordinates"),
+    (("probe", "torsion", "--n", "4000", "--radius", "1", "--kmax", "2"),
+     "at least 32004000 coordinates"),
+    # the estimate must not build 2^n
+    (("e3-table", "--n", "1000000000"), "2^1000000000 subsets"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_oversized_requests_are_refused_at_once(argv, count):
+    n = argv[argv.index("--n") + 1]
+    assert _size_refused(*argv)  # else running it would take minutes and GBs
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: n={n}: ") and err.count("\n") == 1
+    assert f" enumerates {count}, " in err and "bound 1000000" in err
+
+
+@pytest.mark.parametrize("argv, first_refused", [
+    (("e3-table",), 20),
+    (("poincare", "--field", "q", "--method", "spectral"), 20),
+    (("poincare", "--field", "f2", "--method", "both"), 20),
+    (("en-basis",), 16),
+    (("nf", "x1"), 1000001),
+    (("abelianization",), 1000001),
+    (("up-check", "x.txt", "y.txt"), 1000001),
+    (("probe", "torsion", "--radius", "1", "--kmax", "2"), 707),
+    (("probe", "center", "--radius", "1"), 707),
+    (("probe", "fixed-point", "--radius", "1"), 707),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_size_check_refuses_from_the_first_n_over_the_budget(argv, first_refused):
+    # The check runs on the parsed arguments alone; no work is done.
+    assert not _size_refused(*argv, "--n", str(first_refused - 1))
+    assert _size_refused(*argv, "--n", str(first_refused))
+    if argv[0] == "poincare":
+        assert not _size_refused(*argv, "--n", str(first_refused), "--unsafe-large")
+
+
+def _perfbench_cli_load(monkeypatch):
+    """perfbench/cli_load.py, imported without writing into perfbench/."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cli_load.py"
+    spec = importlib.util.spec_from_file_location("cli_load", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "cli_load", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_size_check_admits_the_benchmarks_requests(tmp_path, monkeypatch):
+    # A count that refused an op of the cli workload would make it report
+    # wrong outputs; its two exponential guard requests must be refused.
+    cli_load = _perfbench_cli_load(monkeypatch)
+    for seed in (1, 2, 3):
+        load = cli_load.Cli(None, seed, False, tmp_path, tmp_path)
+        for r in range(3):
+            for argv, _ in load.round(r):
+                if "--n" in argv:
+                    assert not _size_refused(*argv), argv
+        guards = {argv[0]: argv for argv in load.guard_requests()}
+        assert _size_refused(*guards["e3-table"]) and _size_refused(*guards["en-basis"])
 
 
 def test_e3_table_csv():
@@ -454,10 +536,12 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("poincare", "--n", "13", "--field", "f2", "--method", "spectral"),
-     "n=13 exceeds the spectral/subset-sum bound 12 (pass --unsafe-large to force)"),
-    (("poincare", "--n", "21", "--field", "q", "--method", "closed"),
-     "n=21 exceeds the closed-form bound 20 (pass --unsafe-large to force)"),
+    (("poincare", "--n", "20", "--field", "f2", "--method", "spectral"),
+     "n=20: poincare enumerates 2^20 subsets, more than the enumeration bound 1000000 "
+     "(pass --unsafe-large to force)"),
+    (("poincare", "--n", "14287", "--field", "q", "--method", "closed"),
+     f"n=14287: a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+     "the limit of sys.get_int_max_str_digits()"),
     (("mod2-check", "--n", "3"), "mod-2 congruence is only claimed for even n"),
     (("up-check", "--n", "2", "{x}", "{empty}"),
      "set files must contain at least one element each"),
@@ -486,9 +570,9 @@ def _raise(exc):
      "resource guard: ball exceeds budget of 10 elements"),
     (("e3-table", "--n", "3"), VerificationError("planted"), 1,
      "verification failed: planted"),
-    (("poincare", "--n", "13", "--field", "f2", "--method", "spectral"), None, 2,
-     "error: n=13 exceeds the spectral/subset-sum bound 12 (pass --unsafe-large "
-     "to force)"),
+    (("poincare", "--n", "20", "--field", "f2", "--method", "spectral"), None, 2,
+     "error: n=20: poincare enumerates 2^20 subsets, more than the enumeration bound "
+     "1000000 (pass --unsafe-large to force)"),
 ], ids=["parse", "guard", "verification", "value"])
 def test_main_maps_each_library_error(argv, planted, code, message, monkeypatch):
     if planted is not None:
