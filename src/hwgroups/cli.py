@@ -9,7 +9,9 @@ are byte-identical.  A command refuses an input by raising
 it catches the package root's errors by class and reports them as
 ``verification failed``, ``parse error`` or ``resource guard``.
 Before a command with ``--n`` runs, ``main`` refuses a request whose
-output is too long or whose enumeration exceeds the ball's budget.
+output is too long or whose enumeration exceeds the ball's budget;
+``up-check`` also refuses, once it has read its two sets, when it would
+form more products than that budget.
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found, a failed run-time
 check), 2 usage or input errors, an oversized request among them.
@@ -265,6 +267,10 @@ def cmd_up_check(args: argparse.Namespace) -> Result:
     y_set = group_ring.parse_set_file(y_text, args.n)
     if not x_set or not y_set:
         raise ValueError("set files must contain at least one element each")
+    count = len(x_set) * len(y_set)
+    if count > DEFAULT_BALL_BUDGET:
+        raise _over_bound(args.n, "up-check",
+                          f"{len(x_set)}*{len(y_set)} = {count} pairs (x, y)")
     tally = group_ring.product_tally(x_set, y_set)
     witnesses = [hw_group.format_element(g) for g in group_ring.unique_products(tally)]
     record = {
@@ -328,8 +334,12 @@ def _check_size(args: argparse.Namespace) -> None:
     lift = getattr(args, "unsafe_large", None)
     if count > DEFAULT_BALL_BUDGET and not lift:
         hint = "" if lift is None else " (pass --unsafe-large to force)"
-        raise ValueError(f"n={n}: {command} enumerates {items}, more than the "
-                         f"enumeration bound {DEFAULT_BALL_BUDGET}{hint}")
+        raise _over_bound(n, command, items, hint)
+
+
+def _over_bound(n: int, command: str, items: str, hint: str = "") -> ValueError:
+    return ValueError(f"n={n}: {command} enumerates {items}, more than the "
+                      f"enumeration bound {DEFAULT_BALL_BUDGET}{hint}")
 
 
 def _command(sub, name: str, summary: str, func, n_min: Optional[int], *arguments,

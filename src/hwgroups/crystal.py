@@ -12,8 +12,9 @@ evaluation and fixed-point solving are all coordinatewise.
 G_2 maps onto the classical three-dimensional group via x1 -> A,
 x2 -> B; the squares A^2, B^2 are the unit translations e_1, e_2, so
 the normal form (w, t) evaluates to (product of letter matrices)
-composed with the translation (t_1, t_2, 0).  That model is where the
-fixed-point probe runs: the image group is Bieberbach, hence acts
+composed with the translation (t_1, t_2, 0); the probes compose the
+letters once per distinct word.  That model is where the fixed-point
+probe runs: the image group is Bieberbach, hence acts
 freely; the separate coordinate action on R^n (half-step on the own
 axis, negation elsewhere) is faithful only on the one-letter subgroups
 and is exposed as rn_action.
@@ -22,7 +23,7 @@ and is exposed as rn_action.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import DEFAULT_BALL_BUDGET, _Value
 from .hw_group import GroupElement, ball, element_sort_key, identity
@@ -189,6 +190,17 @@ def g2_isometry(g: GroupElement) -> AffineIsometry:
     return out @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
 
 
+def _g2_images(elements: Iterable[GroupElement]) -> Iterator[tuple]:
+    """Each element with its g2_isometry, whose letter product is
+    composed once per distinct word."""
+    words: Dict[Tuple[int, ...], AffineIsometry] = {}
+    for g in elements:
+        head = words.get(g.w)
+        if head is None:
+            head = words[g.w] = g2_isometry(GroupElement(g.w, (0, 0)))
+        yield g, head @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
+
+
 def rn_isometry(g: GroupElement) -> AffineIsometry:
     """The coordinate action on R^n: letter i shifts its own axis by 1/2
     and negates every other coordinate; the lattice translates by t."""
@@ -244,10 +256,10 @@ def fixed_point_probe(
         raise ValueError("radius must be at least 1")
     e = identity(n)
     found = []
-    for g in sorted(ball(n, r, budget), key=element_sort_key):
+    for g, iso in _g2_images(sorted(ball(n, r, budget), key=element_sort_key)):
         if g == e:
             continue
-        point = fixed_points(g2_isometry(g))
+        point = fixed_points(iso)
         if point is not None:
             found.append((g, point))
     return found
@@ -265,8 +277,7 @@ def injectivity_probe(
         raise ValueError("radius must be at least 1")
     images: Dict[AffineIsometry, GroupElement] = {}
     collisions: List[Tuple[GroupElement, GroupElement]] = []
-    for g in sorted(ball(2, r, budget), key=element_sort_key):
-        iso = g2_isometry(g)
+    for g, iso in _g2_images(sorted(ball(2, r, budget), key=element_sort_key)):
         other = images.get(iso)
         if other is None:
             images[iso] = g

@@ -3,6 +3,8 @@ unique-product tally for finite subsets.
 
 Supports are sets of canonical normal forms, so convolution is a double
 loop with symmetric-difference accumulation (coefficients live in F_2).
+Both run over ``hw_group.products``, which multiplies once per distinct
+pair of words.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from . import ElementSyntaxError, _Value
-from .hw_group import GroupElement, element_sort_key, identity, multiply, parse_element
+from .hw_group import GroupElement, element_sort_key, identity, parse_element, products
 
 __all__ = [
     "RingElement",
@@ -52,9 +54,8 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
     acc: set = set()
-    for x in a.support:
-        for y in b.support:
-            acc ^= {multiply(x, y)}
+    for g in products(a.support, b.support):
+        acc ^= {g}
     return RingElement(a.n, frozenset(acc))
 
 
@@ -67,10 +68,8 @@ def product_tally(
     if not xs or not ys:
         raise ValueError("tally needs nonempty sets")
     counts: Dict[GroupElement, int] = {}
-    for x in xs:
-        for y in ys:
-            g = multiply(x, y)
-            counts[g] = counts.get(g, 0) + 1
+    for g in products(xs, ys):
+        counts[g] = counts.get(g, 0) + 1
     return counts
 
 

@@ -7,6 +7,10 @@ lattice vector by the sign action and either extends the word or cancels
 its last letter while emitting a lattice unit, so all group operations
 reduce to folds of append_letter.
 
+Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
+lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t):
+``products`` of two sets multiplies once per distinct word pair (u, v).
+
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
 and are re-exported here.  Of the standard library it imports only
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
                VerificationError, _Value, decimal_text)
@@ -34,6 +38,7 @@ __all__ = [
     "inverse",
     "power",
     "commutator",
+    "products",
     "parse_element",
     "format_element",
     "project_w",
@@ -170,6 +175,45 @@ def power(g: GroupElement, k: int) -> GroupElement:
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return multiply(multiply(inverse(a), inverse(b)), multiply(a, b))
+
+
+def products(xs: Iterable[GroupElement],
+             ys: Iterable[GroupElement]) -> Iterator[GroupElement]:
+    """x * y for x in xs and y in ys, row by row; ValueError on a rank mismatch.
+
+    With x = lift(u) tau(s), y = lift(v) tau(t) and lift(u) * lift(v) =
+    lift(w) tau(c), x * y = lift(w) tau(c + sigma_v(s) + t).  Each distinct
+    word pair is multiplied once, and the row of u's products is kept only
+    until the last x with word u.
+    """
+    xs, ys = list(xs), list(ys)
+    ranks = {g.n for g in xs + ys}
+    if len(ranks) > 1:
+        raise ValueError(f"rank mismatch: {min(ranks)} vs {max(ranks)}")
+    n = ranks.pop() if ranks else 0
+    zero, ones = (0,) * n, (1,) * n
+    column: dict = {}
+    # Each y as (its word's column, sigma_v as a sign vector, t).
+    cols = [(column.setdefault(y.w, len(column)), word_sign_action(y.w, ones), y.t)
+            for y in ys]
+    lifts = [GroupElement(v, zero) for v in column]
+    last = {x.w: i for i, x in enumerate(xs)}
+    rows = {}
+    for i, x in enumerate(xs):
+        row = rows.get(x.w)
+        if row is None:
+            left = GroupElement(x.w, zero)
+            row = rows[x.w] = [multiply(left, b) for b in lifts]
+        if last[x.w] == i:
+            del rows[x.w]
+        for j, signs, t in cols:
+            head = row[j]
+            # head.w is a validated word and the entries are ints: skip the checks.
+            g = object.__new__(GroupElement)
+            object.__setattr__(g, "w", head.w)
+            object.__setattr__(g, "t", tuple(c + e * a + b for c, e, a, b
+                                             in zip(head.t, signs, x.t, t)))
+            yield g
 
 
 _ATOM = re.compile(r"x(\d+)(?:\^(-?\d+))?$")

@@ -461,19 +461,41 @@ def test_up_check(tmp_path):
 
 
 def test_up_check_multiplies_each_pair_once(tmp_path, monkeypatch):
-    # The witnesses are read off the same tally that counts the products.
-    pairs = []
+    # The witnesses are read off the same tally that counts the products,
+    # and that tally multiplies each distinct pair of words once.
+    tallies, pairs = [], []
+    honest_products, honest_multiply = hw_group.products, hw_group.multiply
 
-    def counted(a, b):
-        pairs.append((a, b))
-        return hw_group.multiply(a, b)
+    def counted_products(xs, ys):
+        tallies.append((xs, ys))
+        return honest_products(xs, ys)
 
-    monkeypatch.setattr(group_ring, "multiply", counted)
+    def counted_multiply(a, b):
+        pairs.append((a.w, b.w))
+        return honest_multiply(a, b)
+
+    monkeypatch.setattr(group_ring, "products", counted_products)
+    monkeypatch.setattr(hw_group, "multiply", counted_multiply)
     files = _set_files(tmp_path)
     code, out, _ = run_cli("up-check", "--n", "2", files["x"], files["y"])
     assert code == 1
     assert out.startswith("|X| = 2, |Y| = 3, ")
-    assert len(pairs) == 2 * 3
+    assert len(tallies) == 1
+    # X has the words x1 and x2 x1; Y = {x1, x1^-1, x2} has x1 and x2.
+    assert sorted(pairs) == [((1,), (1,)), ((1,), (2,)), ((2, 1), (1,)), ((2, 1), (2,))]
+
+
+def test_up_check_refuses_more_products_than_the_budget(tmp_path):
+    # x1^(2k) = tau(k e_1), so each file holds distinct elements.
+    x_file, y_file = tmp_path / "x.txt", tmp_path / "y.txt"
+    x_file.write_text("".join(f"x1^{2 * k}\n" for k in range(1, 1002)))
+    y_file.write_text("".join(f"x1^{2 * k}\n" for k in range(1, 1001)))
+    start = time.perf_counter()
+    code, out, err = run_cli("up-check", "--n", "1", str(x_file), str(y_file))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: n=1: up-check enumerates 1001*1000 = 1001000 pairs (x, y), "
+                   "more than the enumeration bound 1000000\n")
 
 
 def test_mod2_check():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hwgroups import crystal
 from hwgroups.crystal import (
     AffineIsometry,
     fixed_point_probe,
@@ -20,6 +21,8 @@ from hwgroups.crystal import (
 )
 from hwgroups.hw_group import (
     GroupElement,
+    ball,
+    element_sort_key,
     generator,
     identity,
     inverse,
@@ -227,3 +230,45 @@ def test_fixed_point_probe_matrix_model():
         fixed_point_probe(3, 2)
     with pytest.raises(ValueError):
         fixed_point_probe(2, 0)
+
+
+def _reference_fixed_point_probe(r):
+    """The probe with one g2_isometry per element: the oracle for the
+    letter products that the probes share between elements."""
+    e = identity(2)
+    found = []
+    for g in sorted(crystal.ball(2, r, 10**6), key=element_sort_key):
+        if g != e:
+            point = crystal.fixed_points(g2_isometry(g))
+            if point is not None:
+                found.append((g, point))
+    return found
+
+
+def _reference_injectivity_probe(r):
+    images, collisions = {}, []
+    for g in sorted(crystal.ball(2, r, 10**6), key=element_sort_key):
+        iso = g2_isometry(g)
+        if iso in images:
+            collisions.append((images[iso], g))
+        else:
+            images[iso] = g
+    return collisions
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_probes_match_the_per_element_isometry(r, monkeypatch):
+    elements = sorted(ball(2, r), key=element_sort_key)
+    assert list(crystal._g2_images(elements)) == [(g, g2_isometry(g)) for g in elements]
+    assert fixed_point_probe(2, r) == _reference_fixed_point_probe(r) == []
+    assert injectivity_probe(r) == _reference_injectivity_probe(r) == []
+    # Planted findings: every element with a reflecting first coordinate
+    # "fixes" its translation, and a ball listed twice collides with itself.
+    monkeypatch.setattr(crystal, "fixed_points",
+                        lambda iso: iso.translation if iso.signs[0] == -1 else None)
+    monkeypatch.setattr(crystal, "ball", lambda n, radius, budget: 2 * list(ball(n, radius)))
+    found = fixed_point_probe(2, r)
+    assert found and found == _reference_fixed_point_probe(r)
+    collisions = injectivity_probe(r)
+    assert len(collisions) == len(elements)
+    assert collisions == _reference_injectivity_probe(r)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwgroups import hw_group
 from hwgroups.hw_group import (
@@ -24,6 +25,7 @@ from hwgroups.hw_group import (
     multiply,
     parse_element,
     power,
+    products,
     project_w,
     sign_action,
     torsion_probe,
@@ -316,3 +318,69 @@ def test_rank_one_center_probe_rejected():
     with pytest.raises(ValueError):
         center_probe(1, 2)
 
+
+
+# Lattice entries: small, past 2^70 on either side, and in between.
+_ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([2**70 + 1, -(2**71) - 5]),
+                     st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _set_pair(draw):
+    """Two element lists of one rank n in 1..5 whose words come from a
+    small pool, so words repeat; either list may hold the identity."""
+    n = draw(st.integers(1, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = []
+        for letter in draw(st.lists(st.integers(1, n), max_size=6)):
+            if not word or word[-1] != letter:
+                word.append(letter)
+        pool.append(tuple(word))
+    sides = []
+    for _ in range(2):
+        side = [GroupElement(draw(st.sampled_from(pool)),
+                             [draw(_ENTRIES) for _ in range(n)])
+                for _ in range(draw(st.integers(0, 6)))]
+        if draw(st.booleans()):
+            side.insert(draw(st.integers(0, len(side))), identity(n))
+        sides.append(side)
+    return sides
+
+
+@settings(derandomize=True, database=None)
+@given(_set_pair())
+def test_products_match_the_pairwise_multiply(sides):
+    xs, ys = sides
+    got = list(products(xs, ys))
+    assert got == [multiply(x, y) for x in xs for y in ys]
+    for g in got:
+        # the unvalidated results are genuine normal forms with int entries
+        assert GroupElement(g.w, g.t) == g and hash(GroupElement(g.w, g.t)) == hash(g)
+        assert all(type(v) is int for v in g.t)
+
+
+def test_products_of_an_empty_side_and_of_mixed_ranks():
+    some = [identity(3), parse_element("x1 x2^-1", 3)]
+    assert list(products([], some)) == []
+    assert list(products(some, [])) == []
+    with pytest.raises(ValueError, match="rank mismatch"):
+        next(products(some, [identity(2)]))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        next(products([identity(2), identity(3)], []))
+
+
+def test_products_multiply_once_per_distinct_word_pair(monkeypatch):
+    calls = []
+    honest = hw_group.multiply
+
+    def counted(a, b):
+        calls.append((a, b))
+        return honest(a, b)
+
+    monkeypatch.setattr(hw_group, "multiply", counted)
+    # three elements with word x1 and two with x2 x1, interleaved, against x2 twice
+    xs = [parse_element(text, 2) for text in ("x1", "x2 x1", "x1^3", "x2^3 x1", "x1^-1")]
+    ys = [parse_element(text, 2) for text in ("x2", "x2^-1")]
+    assert len(list(products(xs, ys))) == 10
+    assert [(a.w, b.w) for a, b in calls] == [((1,), (2,)), ((2, 1), (2,))]
