@@ -4,12 +4,17 @@ An element is written uniquely as lift(w) * tau(t): w a reduced word in
 the quotient W_n, lifted letterwise, and tau(t) the lattice element
 prod x_i^(2 t_i) on the RIGHT.  Appending a generator twists the
 lattice vector by the sign action and either extends the word or cancels
-its last letter while emitting a lattice unit, so all group operations
-reduce to folds of append_letter.
+its last letter while emitting a lattice unit.  The public operations
+(multiply, inverse, power, parse_element) are folds of append_letter,
+which stays the reference for everything else.
 
 Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
-lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t):
-``products`` of two sets multiplies once per distinct word pair (u, v).
+lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
+(the free-product normal form of W_n; Lyndon and Schupp, ch. IV).  The
+word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
+``products`` of two sets calls it once per distinct word pair (u, v).
+``ball`` searches on raw (w, t) pairs.  Both build their results with
+the unchecked constructor ``_element``.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
@@ -177,43 +182,68 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return multiply(multiply(inverse(a), inverse(b)), multiply(a, b))
 
 
+def _element(w: Tuple[int, ...], t: Tuple[int, ...]) -> GroupElement:
+    """GroupElement(w, t) without the checks, for a reduced word w of
+    letters in 1..len(t) and a tuple t of ints."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "w", w)
+    object.__setattr__(g, "t", t)
+    return g
+
+
+def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
+               n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """lift(u) * lift(v) = lift(w) tau(c) for reduced words u, v of rank n,
+    as (w, c): the append_letter fold of v's letters into lift(u), on raw
+    tuples.
+
+    The first k letters of v cancel the last k of u, letter by letter;
+    then the word only grows, since v is reduced.  The j-th cancelling
+    letter i leaves the unit e_i, and each later letter l of v twists it
+    by sign_action(l), which negates it unless l = i.
+    """
+    top, m = len(u), len(v)
+    k = 0
+    while k < top and k < m and u[top - 1 - k] == v[k]:
+        k += 1
+    c = [0] * n
+    for j in range(k):
+        i = v[j]
+        c[i - 1] += -1 if (m - 1 - j - v[j + 1:].count(i)) % 2 else 1
+    return u[:top - k] + v[k:], tuple(c)
+
+
 def products(xs: Iterable[GroupElement],
              ys: Iterable[GroupElement]) -> Iterator[GroupElement]:
     """x * y for x in xs and y in ys, row by row; ValueError on a rank mismatch.
 
     With x = lift(u) tau(s), y = lift(v) tau(t) and lift(u) * lift(v) =
     lift(w) tau(c), x * y = lift(w) tau(c + sigma_v(s) + t).  Each distinct
-    word pair is multiplied once, and the row of u's products is kept only
-    until the last x with word u.
+    word pair goes through the word kernel once, and the row of u's
+    products is kept only until the last x with word u.
     """
     xs, ys = list(xs), list(ys)
     ranks = {g.n for g in xs + ys}
     if len(ranks) > 1:
         raise ValueError(f"rank mismatch: {min(ranks)} vs {max(ranks)}")
     n = ranks.pop() if ranks else 0
-    zero, ones = (0,) * n, (1,) * n
+    ones = (1,) * n
     column: dict = {}
     # Each y as (its word's column, sigma_v as a sign vector, t).
     cols = [(column.setdefault(y.w, len(column)), word_sign_action(y.w, ones), y.t)
             for y in ys]
-    lifts = [GroupElement(v, zero) for v in column]
     last = {x.w: i for i, x in enumerate(xs)}
     rows = {}
     for i, x in enumerate(xs):
         row = rows.get(x.w)
         if row is None:
-            left = GroupElement(x.w, zero)
-            row = rows[x.w] = [multiply(left, b) for b in lifts]
+            row = rows[x.w] = [_mul_words(x.w, v, n) for v in column]
         if last[x.w] == i:
             del rows[x.w]
         for j, signs, t in cols:
-            head = row[j]
-            # head.w is a validated word and the entries are ints: skip the checks.
-            g = object.__new__(GroupElement)
-            object.__setattr__(g, "w", head.w)
-            object.__setattr__(g, "t", tuple(c + e * a + b for c, e, a, b
-                                             in zip(head.t, signs, x.t, t)))
-            yield g
+            w, c = row[j]
+            yield _element(w, tuple(h + e * a + b for h, e, a, b
+                                    in zip(c, signs, x.t, t)))
 
 
 _ATOM = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
@@ -338,31 +368,55 @@ def element_sort_key(g: GroupElement):
 def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement]":
     """All products of at most r generators x_i^{+-1}, deduplicated.
 
-    Breadth-first over append_letter moves; raises BallBudgetError as
-    soon as the visited set would exceed the budget, which counts the
-    identity and so must be at least 1.
+    Breadth-first over append_letter moves, run on raw (w, t) pairs:
+    x_i fixes t_i and negates every other coordinate, so t is negated
+    once per element, and the word step is taken once for x_i and
+    x_i^-1 = x_i tau(-e_i).  Raises BallBudgetError as soon as the
+    visited set would exceed the budget, which counts the identity and
+    so must be at least 1.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise ValueError("ball budget must be at least 1, since it counts the "
                          f"identity; got {budget}")
-    seen = {identity(n)}
-    frontier = [identity(n)]
+    zero = (0,) * n
+    # The visited set, as the lattice parts seen with each word.
+    seen = {(): {zero}}
+    size = 1
+    frontier = [((), zero)]
     for _ in range(r):
-        next_frontier: List[GroupElement] = []
-        for g in frontier:
+        next_frontier = []
+        for w, t in frontier:
+            twisted = [-v for v in t]
+            last = w[-1] if w else 0
             for i in range(1, n + 1):
-                for exp in (1, -1):
-                    h = append_letter(g, i, exp)
-                    if h not in seen:
-                        if len(seen) >= budget:
+                if i == last:  # x_i cancels, leaving the unit e_i
+                    word, plus = w[:-1], t[i - 1] + 1
+                else:
+                    word, plus = w + (i,), t[i - 1]
+                lattices = seen.get(word)
+                if lattices is None:
+                    lattices = seen[word] = set()
+                for v in (plus, plus - 1):  # x_i, then x_i^-1
+                    twisted[i - 1] = v
+                    h = tuple(twisted)
+                    if h not in lattices:
+                        if size >= budget:
                             raise BallBudgetError(
                                 f"ball exceeds budget of {budget} elements")
-                        seen.add(h)
-                        next_frontier.append(h)
+                        size += 1
+                        lattices.add(h)
+                        next_frontier.append((word, h))
+                twisted[i - 1] = -t[i - 1]
         frontier = next_frontier
-    return seen
+    # Wrap each element once, freeing each word's lattices as it goes.
+    del frontier
+    out = set()
+    while seen:
+        w, lattices = seen.popitem()
+        out.update(_element(w, t) for t in lattices)
+    return out
 
 
 def torsion_probe(n: int, r: int, kmax: int,

@@ -464,18 +464,18 @@ def test_up_check_multiplies_each_pair_once(tmp_path, monkeypatch):
     # The witnesses are read off the same tally that counts the products,
     # and that tally multiplies each distinct pair of words once.
     tallies, pairs = [], []
-    honest_products, honest_multiply = hw_group.products, hw_group.multiply
+    honest_products, honest_kernel = hw_group.products, hw_group._mul_words
 
     def counted_products(xs, ys):
         tallies.append((xs, ys))
         return honest_products(xs, ys)
 
-    def counted_multiply(a, b):
-        pairs.append((a.w, b.w))
-        return honest_multiply(a, b)
+    def counted_kernel(u, v, n):
+        pairs.append((u, v))
+        return honest_kernel(u, v, n)
 
     monkeypatch.setattr(group_ring, "products", counted_products)
-    monkeypatch.setattr(hw_group, "multiply", counted_multiply)
+    monkeypatch.setattr(hw_group, "_mul_words", counted_kernel)
     files = _set_files(tmp_path)
     code, out, _ = run_cli("up-check", "--n", "2", files["x"], files["y"])
     assert code == 1

@@ -238,6 +238,43 @@ def test_ball_budget_guard():
             ball(2, 0, budget=budget)
 
 
+def reference_ball(n, r, budget=DEFAULT_BALL_BUDGET):
+    """Oracle for ball: breadth first over append_letter, one validated
+    element per move, with the same budget check."""
+    seen = {identity(n)}
+    frontier = [identity(n)]
+    for _ in range(r):
+        next_frontier = []
+        for g in frontier:
+            for i in range(1, n + 1):
+                for exp in (1, -1):
+                    h = append_letter(g, i, exp)
+                    if h not in seen:
+                        if len(seen) >= budget:
+                            raise BallBudgetError(f"ball exceeds budget of {budget} elements")
+                        seen.add(h)
+                        next_frontier.append(h)
+        frontier = next_frontier
+    return seen
+
+
+@pytest.mark.parametrize("n, r", [(0, 4), (1, 4), (2, 12), (3, 6), (4, 5), (5, 4)])
+def test_ball_matches_the_append_letter_search(n, r):
+    expected = reference_ball(n, r)
+    got = ball(n, r)
+    assert got == expected
+    for g in got:
+        # the unchecked elements are genuine normal forms with int entries
+        assert GroupElement(g.w, g.t) == g and all(type(v) is int for v in g.t)
+    # the budget counts every element, the identity included
+    size = len(expected)
+    assert ball(n, r, budget=size) == expected
+    if size > 1:
+        for search in (ball, reference_ball):
+            with pytest.raises(BallBudgetError, match=f"budget of {size - 1} elements"):
+                search(n, r, budget=size - 1)
+
+
 def test_probes_find_nothing_small():
     assert torsion_probe(2, 3, 8) == []
     assert center_probe(2, 3) == []
@@ -320,6 +357,36 @@ def test_rank_one_center_probe_rejected():
 
 
 
+@st.composite
+def _word_pair(draw):
+    """Reduced words u, v of one rank n in 1..6, up to about 40 letters;
+    v often starts by cancelling a tail of u."""
+    n = draw(st.integers(1, 6))
+
+    def reduced(letters):
+        out = []
+        for letter in letters:
+            if out and out[-1] == letter:
+                out.pop()
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    u = reduced(draw(st.lists(st.integers(1, n), max_size=40)))
+    k = draw(st.integers(0, len(u)))
+    v = reduced(u[len(u) - k:][::-1] + tuple(draw(st.lists(st.integers(1, n), max_size=40))))
+    return n, u, v
+
+
+@settings(derandomize=True, database=None)
+@given(_word_pair())
+def test_word_kernel_matches_multiply(case):
+    n, u, v = case
+    zero = (0,) * n
+    g = multiply(GroupElement(u, zero), GroupElement(v, zero))
+    assert hw_group._mul_words(u, v, n) == (g.w, g.t)
+
+
 # Lattice entries: small, past 2^70 on either side, and in between.
 _ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([2**70 + 1, -(2**71) - 5]),
                      st.integers(-(2**80), 2**80))
@@ -372,15 +439,15 @@ def test_products_of_an_empty_side_and_of_mixed_ranks():
 
 def test_products_multiply_once_per_distinct_word_pair(monkeypatch):
     calls = []
-    honest = hw_group.multiply
+    honest = hw_group._mul_words
 
-    def counted(a, b):
-        calls.append((a, b))
-        return honest(a, b)
+    def counted(u, v, n):
+        calls.append((u, v))
+        return honest(u, v, n)
 
-    monkeypatch.setattr(hw_group, "multiply", counted)
+    monkeypatch.setattr(hw_group, "_mul_words", counted)
     # three elements with word x1 and two with x2 x1, interleaved, against x2 twice
     xs = [parse_element(text, 2) for text in ("x1", "x2 x1", "x1^3", "x2^3 x1", "x1^-1")]
     ys = [parse_element(text, 2) for text in ("x2", "x2^-1")]
     assert len(list(products(xs, ys))) == 10
-    assert [(a.w, b.w) for a, b in calls] == [((1,), (2,)), ((2, 1), (2,))]
+    assert calls == [((1,), (2,)), ((2, 1), (2,))]
