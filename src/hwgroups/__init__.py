@@ -117,8 +117,7 @@ _EXPORTS = {
     for module, names in (
         ("cohomology_f2", ("e3_dims", "en_basis", "en_multiply", "en_vs_e3",
                            "poincare_f2_closed", "poincare_f2_spectral")),
-        ("cohomology_q", ("h1", "h1_oracle", "mod2_compare", "poincare_q_closed",
-                          "poincare_q_spectral")),
+        ("cohomology_q", ("h1", "poincare_q_closed", "poincare_q_spectral")),
         ("crystal", ("AffineIsometry", "fixed_points", "gamma3_generators",
                      "rn_action", "rn_isometry", "verify_hom_g2_gamma3")),
         ("exact_algebra", ("IntPolynomial",)),

@@ -9,9 +9,11 @@ are byte-identical.  A command refuses an input by raising
 it catches the package root's errors by class and reports them as
 ``verification failed``, ``parse error`` or ``resource guard``.
 Before a command with ``--n`` runs, ``main`` refuses a request whose
-output is too long or whose enumeration exceeds the ball's budget;
-``up-check`` also refuses, once it has read its two sets, when it would
-form more products than that budget.
+output is too long or whose enumeration exceeds ``DEFAULT_BALL_BUDGET``
+(``--unsafe-large`` lifts this on ``poincare`` only); ``up-check`` also
+refuses, once it has read its two sets, when it would form more
+products than that bound, and a probe's ball refuses at run time once
+it holds more elements than that bound.
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found, a failed run-time
 check), 2 usage or input errors, an oversized request among them.
@@ -114,11 +116,13 @@ def cmd_en_basis(args: argparse.Namespace) -> Result:
     from . import cohomology_f2
 
     basis = cohomology_f2.en_basis(args.n)
+    symbols = [str(e) for e in basis]
     record = {"n": args.n, "basis": [
-        {"grade": e.grade, "p": e.bidegree[0], "q": e.bidegree[1], "symbol": str(e)}
-        for e in basis
+        {"grade": e.grade, "p": e.bidegree[0], "q": e.bidegree[1], "symbol": symbol}
+        for e, symbol in zip(basis, symbols)
     ]}
-    return 0, record, [f"({e.bidegree[0]},{e.bidegree[1]}) {e}" for e in basis]
+    return 0, record, [f"({e.bidegree[0]},{e.bidegree[1]}) {symbol}"
+                       for e, symbol in zip(basis, symbols)]
 
 
 def cmd_abelianization(args: argparse.Namespace) -> Result:
@@ -224,28 +228,26 @@ def cmd_probe(args: argparse.Namespace) -> Result:
     # Each finding is a pair (text line, JSON row).
     if args.kind == "torsion":
         findings = [(f"{fmt(g)} has order {k}", {"element": fmt(g), "order": k})
-                    for g, k in hw_group.torsion_probe(args.n, args.radius, args.kmax,
-                                                       args.budget)]
+                    for g, k in hw_group.torsion_probe(args.n, args.radius, args.kmax)]
         meta = {"probe": "torsion", "n": args.n, "radius": args.radius,
                 "kmax": args.kmax}
     elif args.kind == "center":
         findings = [(f"{fmt(g)} is central", {"element": fmt(g)})
-                    for g in hw_group.center_probe(args.n, args.radius, args.budget)]
+                    for g in hw_group.center_probe(args.n, args.radius)]
         meta = {"probe": "center", "n": args.n, "radius": args.radius}
     elif args.kind == "fixed-point":
         from . import crystal
 
         findings = [(f"{fmt(g)} fixes {_vector_str(point)}",
                      {"element": fmt(g), "point": [str(v) for v in point]})
-                    for g, point in crystal.fixed_point_probe(args.n, args.radius,
-                                                              args.budget)]
+                    for g, point in crystal.fixed_point_probe(args.n, args.radius)]
         meta = {"probe": "fixed-point", "n": args.n, "radius": args.radius}
     else:
         from . import crystal
 
         findings = [(f"{fmt(a)} collides with {fmt(b)}",
                      {"first": fmt(a), "second": fmt(b)})
-                    for a, b in crystal.injectivity_probe(args.radius, args.budget)]
+                    for a, b in crystal.injectivity_probe(args.radius)]
         meta = {"probe": "injectivity", "n": 2, "radius": args.radius}
     label = " ".join(f"{k}={v}" for k, v in meta.items())
     record = {**meta, "findings": [row for _, row in findings]}
@@ -388,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     kind = sub.add_parser("probe", help="structural probes").add_subparsers(
         dest="kind", required=True)
     radius = ("--radius", {"type": int, "required": True})
-    budget = ("--budget", {"type": int, "default": DEFAULT_BALL_BUDGET})
     for name, summary, n_min, extra in (
         ("torsion", "torsion search in a ball", 1,
          [("--kmax", {"type": int, "required": True})]),
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("fixed-point", "fixed points in the matrix model", 2, []),
         ("injectivity", "matrix model collision search", None, []),
     ):
-        _command(kind, name, summary, cmd_probe, n_min, radius, *extra, budget)
+        _command(kind, name, summary, cmd_probe, n_min, radius, *extra)
 
     _command(sub, "up-check", "unique-product tally of two set files", cmd_up_check, 1,
              ("x_file", {}), ("y_file", {}))

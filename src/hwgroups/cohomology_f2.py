@@ -75,7 +75,7 @@ def _mask_to_set(mask: int) -> FrozenSet[int]:
 
 
 def _g_str(mask: int) -> str:
-    return "*".join(f"g{i}" for i in sorted(_mask_to_set(mask)))
+    return "*".join(f"g{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:

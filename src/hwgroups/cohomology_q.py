@@ -5,11 +5,12 @@ generator x_j acts by the sign (-1)^(|A| - [j in A]); the Poincare
 polynomial is the subset sum of the h^0/h^1 contributions of these
 characters.  The sum runs on subset bitmasks: the -1 positions of the
 character of g_A are A itself for even |A| and its complement for odd
-|A|, so each term is read off the weight of one int.  ``Character``,
-``h1`` and ``h1_oracle`` give the same h^1 on the explicit sign
-vectors.  The closed form of the same sum has half-integer
-intermediates; it is expanded at twice its value over the integers and
-must halve exactly.
+|A|, so each term is read off the weight of one int.  ``Character``
+and ``h1`` give the same h^1 on the explicit sign vectors; the tests
+recompute it by rational linear algebra.  The closed form of the same
+sum has half-integer intermediates; it is expanded at twice its value
+over the integers and must halve exactly.  Nothing here needs the F_2
+series, so this module imports only ``exact_algebra``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import VerificationError, _Value
-from .exact_algebra import IntPolynomial, binomial_power, rational_rank
-from .cohomology_f2 import poincare_f2_closed
+from .exact_algebra import IntPolynomial, binomial_power
 
 __all__ = [
     "Character",
     "h1",
-    "h1_oracle",
     "poincare_q_spectral",
     "poincare_q_closed",
-    "mod2_compare",
     "congruent_mod2",
 ]
 
@@ -67,28 +65,6 @@ def h1(eps: Character) -> int:
     if eps.is_trivial():
         return 0
     return eps.weight - 1
-
-
-def h1_oracle(n: int, eps: Character) -> int:
-    """h^1 recomputed from first principles by rational linear algebra.
-
-    A 1-cocycle on the free product of involutions is a tuple (c_i)
-    subject to (1 + eps_i) c_i = 0; coboundaries are spanned by the
-    single vector (eps_i - 1).  Both dimensions are honest matrix ranks,
-    not case formulas.
-    """
-    from fractions import Fraction
-
-    if eps.n != n:
-        raise ValueError("character rank mismatch")
-    constraints = [
-        [Fraction(1 + eps.eps[i]) if j == i else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    cocycle_dim = n - rational_rank(constraints)
-    coboundary = [[Fraction(eps.eps[i] - 1)] for i in range(n)]
-    coboundary_dim = rational_rank(coboundary)
-    return cocycle_dim - coboundary_dim
 
 
 def poincare_q_spectral(n: int) -> IntPolynomial:
@@ -132,13 +108,6 @@ def poincare_q_closed(n: int) -> IntPolynomial:
     if odd:
         raise VerificationError(f"non-integral coefficient {odd[0]}/2 in closed form")
     return IntPolynomial(tuple(c // 2 for c in twice.coeffs))
-
-
-def mod2_compare(n: int) -> bool:
-    """Coefficientwise congruence mod 2 of the two closed forms (even n only)."""
-    if n % 2:
-        raise ValueError("the mod-2 congruence is claimed for even rank only")
-    return congruent_mod2(poincare_q_closed(n), poincare_f2_closed(n))
 
 
 def congruent_mod2(a: IntPolynomial, b: IntPolynomial) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import DEFAULT_BALL_BUDGET, _Value
+from . import _Value
 from .hw_group import GroupElement, ball, element_sort_key, identity
 
 __all__ = [
@@ -239,9 +239,7 @@ def fixed_points(iso: AffineIsometry) -> Optional[Tuple[Fraction, ...]]:
     return tuple(point)
 
 
-def fixed_point_probe(
-    n: int, r: int, budget: int = DEFAULT_BALL_BUDGET
-) -> List[Tuple[GroupElement, Tuple[Fraction, ...]]]:
+def fixed_point_probe(n: int, r: int) -> List[Tuple[GroupElement, Tuple[Fraction, ...]]]:
     """Search the ball of radius r for elements fixing a point of the
     crystallographic model.
 
@@ -256,7 +254,7 @@ def fixed_point_probe(
         raise ValueError("radius must be at least 1")
     e = identity(n)
     found = []
-    for g, iso in _g2_images(sorted(ball(n, r, budget), key=element_sort_key)):
+    for g, iso in _g2_images(sorted(ball(n, r), key=element_sort_key)):
         if g == e:
             continue
         point = fixed_points(iso)
@@ -265,9 +263,7 @@ def fixed_point_probe(
     return found
 
 
-def injectivity_probe(
-    r: int, budget: int = DEFAULT_BALL_BUDGET
-) -> List[Tuple[GroupElement, GroupElement]]:
+def injectivity_probe(r: int) -> List[Tuple[GroupElement, GroupElement]]:
     """Collisions of the normal-form evaluation map on the rank-2 ball.
 
     Returns pairs of distinct ball elements with equal isometry images;
@@ -277,7 +273,7 @@ def injectivity_probe(
         raise ValueError("radius must be at least 1")
     images: Dict[AffineIsometry, GroupElement] = {}
     collisions: List[Tuple[GroupElement, GroupElement]] = []
-    for g, iso in _g2_images(sorted(ball(2, r, budget), key=element_sort_key)):
+    for g, iso in _g2_images(sorted(ball(2, r), key=element_sort_key)):
         other = images.get(iso)
         if other is None:
             images[iso] = g

@@ -1,29 +1,27 @@
 """Exact arithmetic substrate.
 
-Integer polynomials with their binomial rows (1 +- x)^m, the rank of a
-matrix over Q, and the package root's ``VerificationError``, re-exported.  No
-Smith normal form is needed: the abelianization's relator rows are a
-diagonal matrix up to permutation (``hw_group``).  No GF(2) elimination
+Integer polynomials with their binomial rows (1 +- x)^m, and the
+package root's ``VerificationError``, re-exported.  No Smith normal
+form is needed: the abelianization's relator rows are a diagonal
+matrix up to permutation (``hw_group``).  No GF(2) elimination
 is needed anywhere: the spectral sequence has monomial d_2 blocks,
 ranked by counting distinct columns, and the bigraded algebra has
 relations with disjoint supports, both in ``cohomology_f2``.
-Everything here is pure and allocation-cheap; no floating point is
-used anywhere.
+No rational elimination is needed either: ``cohomology_q`` reads h^1
+off the weight of a sign character, and ``crystal`` solves its
+diagonal isometries coordinate by coordinate.  Everything here is pure
+and allocation-cheap; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from . import VerificationError, _Value
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "IntPolynomial",
     "binomial_power",
-    "rational_rank",
 ]
 
 
@@ -153,37 +151,3 @@ def _coerce(value: Union[IntPolynomial, int]) -> IntPolynomial:
     if isinstance(value, int):
         return IntPolynomial((value,))
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
-
-
-def _gauss_jordan(work: List[List[Fraction]], n_cols: int) -> List[int]:
-    """Reduce the first n_cols columns of work in place; return the pivot columns."""
-    pivot_cols: List[int] = []
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        work[rank] = [v / pivot for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    return pivot_cols
-
-
-def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank of a matrix over Q by exact Gaussian elimination."""
-    from fractions import Fraction
-
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    return len(_gauss_jordan(work, len(work[0])))

@@ -373,7 +373,8 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
     once per element, and the word step is taken once for x_i and
     x_i^-1 = x_i tau(-e_i).  Raises BallBudgetError as soon as the
     visited set would exceed the budget, which counts the identity and
-    so must be at least 1.
+    so must be at least 1.  This is the one place the run-time bound is
+    set: the probes call ``ball(n, r)`` and so inherit the default.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -419,8 +420,7 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
     return out
 
 
-def torsion_probe(n: int, r: int, kmax: int,
-                  budget: int = DEFAULT_BALL_BUDGET) -> List[Tuple[GroupElement, int]]:
+def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     """Nontrivial ball elements with g^k = identity for some k <= kmax,
     each paired with its order.
 
@@ -436,12 +436,11 @@ def torsion_probe(n: int, r: int, kmax: int,
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
     e = identity(n)
-    return [(g, 2) for g in sorted(ball(n, r, budget), key=element_sort_key)
+    return [(g, 2) for g in sorted(ball(n, r), key=element_sort_key)
             if kmax >= 2 and g != e and multiply(g, g) == e]
 
 
-def center_probe(n: int, r: int,
-                 budget: int = DEFAULT_BALL_BUDGET) -> List[GroupElement]:
+def center_probe(n: int, r: int) -> List[GroupElement]:
     """Nontrivial ball elements commuting with every generator.
 
     Expected empty: the center is trivial for n >= 2.
@@ -453,7 +452,7 @@ def center_probe(n: int, r: int,
     gens = [generator(n, i) for i in range(1, n + 1)]
     found: List[GroupElement] = []
     e = identity(n)
-    for g in sorted(ball(n, r, budget), key=element_sort_key):
+    for g in sorted(ball(n, r), key=element_sort_key):
         if g == e:
             continue
         if all(multiply(g, x) == multiply(x, g) for x in gens):

@@ -1,4 +1,4 @@
-"""Literal constructions the tests use as oracles for three shortcuts.
+"""Literal constructions the tests use as oracles for four shortcuts.
 
 ``abelianization_relation_matrix`` writes down the abelianized
 presentation row by row, one row per defining relator, and
@@ -10,6 +10,8 @@ by coordinate, since its isometries have diagonal linear parts.
 ``wedge_character`` spells out the sign vector of a wedge monomial
 entry by entry, and ``h0`` and ``cohomology_q.h1`` read its invariants;
 the package's subset sum reads each term off one bitmask instead.
+``h1_oracle`` recomputes h^1 of a character as two ranks over Q
+(``rational_rank``), where ``cohomology_q.h1`` uses the case formula.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from hwgroups.cohomology_q import Character
-from hwgroups.exact_algebra import _gauss_jordan
 
 
 def abelianization_relation_matrix(n: int) -> Tuple[Tuple[int, ...], ...]:
@@ -114,6 +115,38 @@ def _non_divisible_row(mat: List[List[int]], t: int, p: int, n_rows: int, n_cols
     return None
 
 
+def _gauss_jordan(work: List[List[Fraction]], n_cols: int) -> List[int]:
+    """Reduce the first n_cols columns of work in place; return the pivot columns."""
+    pivot_cols: List[int] = []
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = None
+        for i in range(rank, len(work)):
+            if work[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank][col]
+        work[rank] = [v / pivot for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    return pivot_cols
+
+
+def rational_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Rank of a matrix over Q by exact Gaussian elimination."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    if not work:
+        return 0
+    return len(_gauss_jordan(work, len(work[0])))
+
+
 def solve_rational(
     rows: Sequence[Sequence[Union[int, Fraction]]],
     rhs: Sequence[Union[int, Fraction]],
@@ -153,3 +186,23 @@ def wedge_character(n: int, subset: Iterable[int]) -> Character:
 def h0(eps: Character) -> int:
     """Invariants: 1 for the trivial character, else 0."""
     return 1 if eps.is_trivial() else 0
+
+
+def h1_oracle(n: int, eps: Character) -> int:
+    """h^1 recomputed from first principles by rational linear algebra.
+
+    A 1-cocycle on the free product of involutions is a tuple (c_i)
+    subject to (1 + eps_i) c_i = 0; coboundaries are spanned by the
+    single vector (eps_i - 1).  Both dimensions are honest matrix ranks,
+    not case formulas.
+    """
+    if eps.n != n:
+        raise ValueError("character rank mismatch")
+    constraints = [
+        [Fraction(1 + eps.eps[i]) if j == i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    cocycle_dim = n - rational_rank(constraints)
+    coboundary = [[Fraction(eps.eps[i] - 1)] for i in range(n)]
+    coboundary_dim = rational_rank(coboundary)
+    return cocycle_dim - coboundary_dim

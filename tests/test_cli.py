@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -422,11 +423,47 @@ def test_torsion_probe_answers_a_huge_kmax_at_once():
     assert out == "probe=torsion n=2 radius=2 kmax=100000000 findings: 0\n"
 
 
-def test_probe_budget_guard_exits_2():
-    code, _, err = run_cli("probe", "center", "--n", "3", "--radius", "6",
-                           "--budget", "10")
-    assert code == 2
-    assert "resource guard" in err
+PROBE_ARGV = {
+    "torsion": ("probe", "torsion", "--n", "3", "--radius", "6", "--kmax", "2"),
+    "center": ("probe", "center", "--n", "3", "--radius", "6"),
+    "fixed-point": ("probe", "fixed-point", "--n", "2", "--radius", "6"),
+    "injectivity": ("probe", "injectivity", "--radius", "6"),
+}
+
+
+def test_probe_budget_guard_exits_2(monkeypatch):
+    # Each probe's ball is its module's ``ball``; shrink that bound to 10.
+    small = functools.partial(hw_group.ball, budget=10)
+    monkeypatch.setattr(hw_group, "ball", small)
+    monkeypatch.setattr(crystal, "ball", small)
+    for argv in PROBE_ARGV.values():
+        assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
+                                         "of 10 elements\n"), argv
+
+
+def test_probes_take_their_bound_from_ball_alone(monkeypatch):
+    calls = []
+    honest = hw_group.ball
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(hw_group, "ball", recorded)
+    monkeypatch.setattr(crystal, "ball", recorded)
+    for kind, argv in PROBE_ARGV.items():
+        calls.clear()
+        assert run_cli(*argv)[0] == 0, kind
+        n = 2 if kind == "injectivity" else int(argv[3])
+        assert calls == [((n, 6), {})], kind
+    # No option lifts the ball's bound, so argparse refuses this at once.
+    start = time.perf_counter()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["probe", "center", "--n", "4", "--radius", "9", "--budget", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (exit_.value.code, out.getvalue()) == (2, "")
+    assert "unrecognized arguments: --budget 100000000" in err.getvalue()
 
 
 def test_up_check(tmp_path):
@@ -567,10 +604,9 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
     (("mod2-check", "--n", "3"), "mod-2 congruence is only claimed for even n"),
     (("up-check", "--n", "2", "{x}", "{empty}"),
      "set files must contain at least one element each"),
-    (("probe", "center", "--n", "2", "--radius", "2", "--budget", "-5"),
-     "ball budget must be at least 1, since it counts the identity; got -5"),
-    (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "2", "--budget", "0"),
-     "ball budget must be at least 1, since it counts the identity; got 0"),
+    (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "0"),
+     "radius and exponent bound must be at least 1"),
+    (("probe", "injectivity", "--radius", "0"), "radius must be at least 1"),
     (("probe", "center", "--n", "2", "--radius", "0"), "radius must be at least 1"),
 ])
 def test_refusals_name_their_bound(argv, message, tmp_path):
@@ -588,9 +624,11 @@ def _raise(exc):
 
 @pytest.mark.parametrize("argv, planted, code, message", [
     (("nf", "--n", "2", "x1 zz"), None, 2, "parse error: bad atom 'zz' (at position 3)"),
-    (("probe", "center", "--n", "3", "--radius", "6", "--budget", "10"), None, 2,
+    (("probe", "center", "--n", "3", "--radius", "6"),
+     (hw_group, "ball", functools.partial(hw_group.ball, budget=10)), 2,
      "resource guard: ball exceeds budget of 10 elements"),
-    (("e3-table", "--n", "3"), VerificationError("planted"), 1,
+    (("e3-table", "--n", "3"),
+     (cohomology_f2, "e3_dims", _raise(VerificationError("planted"))), 1,
      "verification failed: planted"),
     (("poincare", "--n", "20", "--field", "f2", "--method", "spectral"), None, 2,
      "error: n=20: poincare enumerates 2^20 subsets, more than the enumeration bound "
@@ -598,7 +636,7 @@ def _raise(exc):
 ], ids=["parse", "guard", "verification", "value"])
 def test_main_maps_each_library_error(argv, planted, code, message, monkeypatch):
     if planted is not None:
-        monkeypatch.setattr(cohomology_f2, "e3_dims", _raise(planted))
+        monkeypatch.setattr(*planted)
     assert run_cli(*argv) == (code, "", message + "\n")
 
 
@@ -621,7 +659,7 @@ def _run_process(*argv, importtime=False):
 _IMPORT_LINE = re.compile(r"import time:\s+\d+ \|\s+\d+ \| +(\S+)")
 HW = {"hw_group"}
 F2 = {"cohomology_f2", "exact_algebra"}
-Q = F2 | {"cohomology_q"}
+Q = {"cohomology_q", "exact_algebra"}
 CRYSTAL = {"crystal", "hw_group"}
 
 
@@ -637,14 +675,14 @@ IMPORT_SETS = [
     (("poincare", "--n", "3", "--field", "q"), 0, Q),
     (("e3-table", "--n", "3"), 0, F2),
     (("en-basis", "--n", "3"), 0, F2),
-    (("mod2-check", "--n", "4"), 0, Q),
+    (("mod2-check", "--n", "4"), 0, F2 | Q),
     (("abelianization", "--n", "3"), 0, HW),
     (("ranks", "--n", "4"), 0, {"quotient_w"}),
     (("gamma3-verify",), 0, CRYSTAL),
     (("action", "--n", "2", "x1", "--vector", "1/2,0"), 0, CRYSTAL),
     (("probe", "torsion", "--n", "2", "--radius", "2", "--kmax", "3"), 0, HW),
     (("probe", "center", "--n", "2", "--radius", "2"), 0, HW),
-    (("probe", "center", "--n", "3", "--radius", "6", "--budget", "10"), 2, HW),
+    (("probe", "center", "--n", "2", "--radius", "0"), 2, HW),
     (("probe", "fixed-point", "--n", "2", "--radius", "2"), 0, CRYSTAL),
     (("probe", "injectivity", "--radius", "2"), 0, CRYSTAL),
     (("up-check", "--n", "2", "{x}", "{y}"), 1, {"group_ring", "hw_group"}),
@@ -685,7 +723,6 @@ def test_abelianization_of_rank_800_answers_at_once():
 N = ("--n", None, None, True)
 FORMAT = ("--format", ("text", "json"), "text", False)
 RADIUS = ("--radius", None, None, True)
-BUDGET = ("--budget", None, 10**6, False)
 WORD = ("word", None, None, True)
 
 # Per subcommand: the --n minimum, then each argument in order as
@@ -703,10 +740,10 @@ PARSER_PINS = {
     "ranks": (2, [N, FORMAT]),
     "gamma3-verify": (None, [FORMAT]),
     "action": (0, [N, WORD, ("--vector", None, None, True), FORMAT]),
-    "probe torsion": (1, [N, RADIUS, ("--kmax", None, None, True), BUDGET, FORMAT]),
-    "probe center": (2, [N, RADIUS, BUDGET, FORMAT]),
-    "probe fixed-point": (2, [N, RADIUS, BUDGET, FORMAT]),
-    "probe injectivity": (None, [RADIUS, BUDGET, FORMAT]),
+    "probe torsion": (1, [N, RADIUS, ("--kmax", None, None, True), FORMAT]),
+    "probe center": (2, [N, RADIUS, FORMAT]),
+    "probe fixed-point": (2, [N, RADIUS, FORMAT]),
+    "probe injectivity": (None, [RADIUS, FORMAT]),
     "up-check": (1, [N, ("x_file", None, None, True), ("y_file", None, None, True),
                      FORMAT]),
     "mod2-check": (0, [N, FORMAT]),

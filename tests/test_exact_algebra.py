@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hwgroups
-from hwgroups.exact_algebra import IntPolynomial, binomial_power, rational_rank
-from algebra_reference import pivot_smith_form, solve_rational
+from hwgroups.exact_algebra import IntPolynomial, binomial_power
+from algebra_reference import pivot_smith_form, rational_rank, solve_rational
 from spectral_reference import f2_reduce, f2_rref
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -341,13 +342,15 @@ def test_torsion_findings_have_order_two(monkeypatch):
         assert torsion_probe(2, 2, kmax) == expected
 
 
-def test_torsion_probe_keeps_its_refusals():
+def test_torsion_probe_keeps_its_refusals(monkeypatch):
     for r, kmax in ((0, 2), (2, 0)):
         with pytest.raises(ValueError, match="at least 1"):
             torsion_probe(2, r, kmax)
+    # the probe's ball is hw_group.ball, so its bound is the ball's
+    monkeypatch.setattr(hw_group, "ball", functools.partial(ball, budget=3))
     for kmax in (1, 2):
-        with pytest.raises(BallBudgetError):
-            torsion_probe(2, 2, kmax, budget=3)
+        with pytest.raises(BallBudgetError, match="budget of 3 elements"):
+            torsion_probe(2, 2, kmax)
 
 
 def test_rank_one_center_probe_rejected():

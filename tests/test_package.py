@@ -209,7 +209,7 @@ SHARED = {
                           "cohomology_q", "cli"),
     "ElementSyntaxError": ("hw_group", "group_ring", "cli"),
     "BallBudgetError": ("hw_group", "cli"),
-    "DEFAULT_BALL_BUDGET": ("hw_group", "crystal", "cli"),
+    "DEFAULT_BALL_BUDGET": ("hw_group", "cli"),
     "decimal_text": ("hw_group", "cli"),
 }
 
