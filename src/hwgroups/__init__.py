@@ -4,9 +4,10 @@ The family G_n is presented on generators x_1 .. x_n with relators
 x_i^-1 x_j^2 x_i x_j^2 for i != j.  Everything in this package works
 over exact types: normal forms with integer lattice vectors, monomial
 d_2 blocks, ranked by counting distinct columns, a bigraded algebra
-read off its disjoint relations, rational matrices, and integer
-polynomials.  Floating point is never used.  The package's errors and
-limits are defined here, in the one module every process loads.
+read off its disjoint relations, signed-diagonal isometries with
+rational translations, and integer polynomials.  Floating point is
+never used.  The package's errors and limits are defined here, in the
+one module every process loads.
 
 Headline entry points are re-exported here; the modules hold the rest:
 
@@ -17,7 +18,7 @@ Headline entry points are re-exported here; the modules hold the rest:
 - ``cohomology_q``: rational cohomology by character subset sums.
 - ``group_ring``: F_2[G_n] convolution and unique-product tallies.
 - ``crystal``: signed-diagonal affine isometries and geometric probes.
-- ``exact_algebra``: integer polynomials and rational rank.
+- ``exact_algebra``: integer polynomials and binomial rows.
 - ``cli``: the ``hwgroups`` command-line tool.
 """
 

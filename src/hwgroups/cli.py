@@ -428,10 +428,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.format == "json":
+        import itertools
         import json
 
-        lines = [json.dumps(record, indent=2)]
-    sys.stdout.write("".join(line + "\n" for line in lines))
+        # streamed in batches: every number already passed decimal_text,
+        # and on an unbuffered stdout each write is a system call
+        chunks = json.JSONEncoder(indent=2).iterencode(record)
+        while batch := list(itertools.islice(chunks, 4096)):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return code
 
 

@@ -13,11 +13,11 @@ Every codomain monomial is hit by at most one domain monomial, so each
 nonzero row of a d_2 block is a unit vector: these are monomial d_2
 blocks, ranked by counting distinct columns (``d2_rows`` yields each
 row's single column).  d_2 is z-linear, so every block with p >= 1
-has the same columns: each q scans its codomain once, for the p = 0
-block and the one p >= 1 block, and every block is still yielded,
-ranked and checked.  All page dimensions are exact F_2 ranks of these
-blocks.  The third page is final and vanishes in columns p > 2;
-columns 3 and 4 are materialized and checked to vanish (a
+has the same columns: each q scans its codomain once and yields two
+blocks, the p = 0 block and the one p >= 1 block, and each is ranked
+once.  All page dimensions are exact F_2 ranks of these blocks.  The
+third page is final and vanishes in columns p > 2; columns 3 and 4
+are materialized from the p >= 1 ranks and checked to vanish (a
 VerificationError otherwise), with the z-linearity of d_2 as the
 periodicity witness for higher columns.
 
@@ -80,7 +80,7 @@ def _g_str(mask: int) -> str:
 
 def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
     """Yield (p, q, n_cols, cols) for the d_2 block leaving each spot
-    (p, q), p <= P_MAX and 0 <= q <= n + 1, one block at a time.
+    (p, q), p in (0, 1) and 0 <= q <= n + 1, one block at a time.
 
     Columns index the domain: g_A sits at pos[A] and z_i^p g_A at
     (i-1) C(n, q) + pos[A], with A in ascending mask order.  Each
@@ -90,16 +90,13 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
     row; the zero rows, i in B, are left out.  The rank of the block
     over F_2 is therefore len(set(cols)).
 
-    d_2 is z-linear, so the blocks for p = 1 .. P_MAX have the same
-    cols.  One codomain scan per q builds the p = 0 list, which is
-    yielded at once, and the shared p >= 1 list, which is kept and
-    yielded as a fresh copy for each p, so no two yielded lists are the
-    same object.  The kept lists hold n 2^(n-1) columns in all.
+    d_2 is z-linear, so the (1, q) block is also the block leaving
+    (p, q) for every p >= 1.  One codomain scan per q builds the (0, q)
+    and (1, q) blocks, and nothing is kept from one q to the next.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_size, pos = _positions(n)
-    z_linear: List[List[int]] = []
     for q in range(n + 2):
         width = len(by_size[q])
         cols: List[int] = []
@@ -110,11 +107,8 @@ def d2_rows(n: int) -> Iterator[Tuple[int, int, int, List[int]]]:
                 hit = [pos[b | bit] for b in by_size[q - 1] if not b & bit]
                 cols += hit
                 shifted += map((i * width).__add__, hit)
-        z_linear.append(shifted)
         yield 0, q, width, cols
-    for p in range(1, P_MAX + 1):
-        for q, shifted in enumerate(z_linear):
-            yield p, q, len(by_size[q]) * n, list(shifted)
+        yield 1, q, width * n, shifted
 
 
 class SpectralTables(NamedTuple):
@@ -130,31 +124,31 @@ class SpectralTables(NamedTuple):
 def spectral_tables(n: int) -> SpectralTables:
     """Compute dim E_2, ker d_2, im d_2 and dim E_3 blockwise.
 
-    Ranks are taken for p <= 4 so that columns 3 and 4 of the third page
-    are materialized; they must vanish, and that is checked here rather
-    than assumed.
+    Each block of ``d2_rows`` is ranked once.  By z-linearity the (1, q)
+    block gives the dimension and rank at (p, q) for every p >= 1, so
+    columns 3 and 4 of the third page are materialized from it; they
+    must vanish, and that is checked here rather than assumed.
     """
+    dim: Dict[Tuple[int, int], int] = {}
     rank: Dict[Tuple[int, int], int] = {}
-    e2_dim: Dict[Tuple[int, int], int] = {}
     for p, q, n_cols, cols in d2_rows(n):
-        e2_dim[(p, q)] = n_cols
+        dim[(p, q)] = n_cols
         rank[(p, q)] = len(set(cols))
-    z2: Dict[Tuple[int, int], int] = {}
-    b2: Dict[Tuple[int, int], int] = {}
-    e3: Dict[Tuple[int, int], int] = {}
+    tables = SpectralTables(n=n, e2={}, z2={}, b2={}, e3={})
     for p in range(P_MAX + 1):
         for q in range(n + 1):
-            z = e2_dim[(p, q)] - rank[(p, q)]
-            b = rank[(p - 2, q + 1)] if p >= 2 else 0
-            z2[(p, q)] = z
-            b2[(p, q)] = b
-            e3[(p, q)] = z - b
+            block = (min(p, 1), q)
+            z = dim[block] - rank[block]
+            b = rank[(min(p - 2, 1), q + 1)] if p >= 2 else 0
+            tables.e2[(p, q)] = dim[block]
+            tables.z2[(p, q)] = z
+            tables.b2[(p, q)] = b
+            tables.e3[(p, q)] = z - b
             if z - b < 0:
                 raise VerificationError(f"negative dimension at {(p, q)}")
             if p >= 3 and z - b != 0:
                 raise VerificationError(f"third page fails to vanish at {(p, q)}")
-    e2_table = {k: v for k, v in e2_dim.items() if k[1] <= n}
-    return SpectralTables(n=n, e2=e2_table, z2=z2, b2=b2, e3=e3)
+    return tables
 
 
 def e3_dims(n: int) -> Dict[Tuple[int, int], int]:
@@ -339,13 +333,6 @@ class EnComparison(NamedTuple):
 def en_vs_e3(n: int) -> EnComparison:
     algebra_dims = en_dims(n)
     page_dims = e3_dims(n)
-    rows = []
-    ok = True
-    for p in range(3):
-        for q in range(n + 1):
-            a = algebra_dims.get((p, q), 0)
-            b = page_dims.get((p, q), 0)
-            rows.append((p, q, a, b))
-            if a != b:
-                ok = False
-    return EnComparison(n=n, ok=ok, rows=tuple(rows))
+    rows = tuple((p, q, algebra_dims.get((p, q), 0), page_dims.get((p, q), 0))
+                 for p in range(3) for q in range(n + 1))
+    return EnComparison(n=n, ok=all(a == b for _, _, a, b in rows), rows=rows)

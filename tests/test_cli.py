@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -208,6 +209,24 @@ def test_en_basis_output():
         "(1,1) z2*g1",
         "(2,1) [z1^2*g2]",
     ]
+
+
+def _render_peak(*argv):
+    """tracemalloc peak of main(argv), its stdout going to the null device."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_json_output_is_streamed_not_built_whole():
+    # the JSON text is longer than the text lines, so only a stream keeps
+    # its peak at or under the text mode's
+    text = _render_peak("en-basis", "--n", "12")
+    assert _render_peak("en-basis", "--n", "12", "--format", "json") <= text
 
 
 def test_abelianization_output():

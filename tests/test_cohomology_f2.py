@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -101,27 +102,42 @@ def test_spectral_tables_consistency():
 
 
 def test_sparse_blocks_match_the_symbolic_reference():
+    # the (1, q) block must equal the reference block leaving every
+    # column p >= 1: spectral_tables relies on that z-linearity
     for n in range(11):
         blocks = list(d2_rows(n))
         assert [(p, q) for p, q, _, _ in blocks] == [
-            (p, q) for p in range(P_MAX + 1) for q in range(n + 2)]
+            (p, q) for q in range(n + 2) for p in (0, 1)]
         for p, q, n_cols, cols in blocks:
-            block = d2_block(n, p, q)
-            assert n_cols == len(block.domain)
-            # every nonzero reference row has weight 1, at the listed column
-            assert all(0 <= c < n_cols for c in cols)
-            assert sorted(1 << c for c in cols) == \
-                sorted(row for row in block.rows if row)
-            assert len(set(cols)) == len(f2_rref(block.rows))
+            for ref_p in (range(1, P_MAX + 1) if p else (0,)):
+                block = d2_block(n, ref_p, q)
+                assert n_cols == len(block.domain)
+                # every nonzero reference row has weight 1, at the listed column
+                assert all(0 <= c < n_cols for c in cols)
+                assert sorted(1 << c for c in cols) == \
+                    sorted(row for row in block.rows if row)
+                assert len(set(cols)) == len(f2_rref(block.rows))
 
 
 def test_editing_a_yielded_block_leaves_later_blocks_unchanged():
-    # the p >= 1 blocks of one q are built once; each yield is its own list
+    # the (0, q) and (1, q) blocks come from one scan; each yield is its own list
     for n in range(8):
         expected = [(p, q, n_cols, list(cols)) for p, q, n_cols, cols in d2_rows(n)]
         for index, (p, q, n_cols, cols) in enumerate(d2_rows(n)):
             assert (p, q, n_cols, cols) == expected[index]
             cols.append(n_cols)
+
+
+def test_spectral_tables_peak_memory_at_rank_16():
+    # d2_rows keeps nothing across q, so the peak is the two blocks of
+    # one q and their column sets
+    tracemalloc.start()
+    try:
+        spectral_tables(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("n", range(13, 17))
