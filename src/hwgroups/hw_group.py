@@ -13,8 +13,12 @@ lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
 (the free-product normal form of W_n; Lyndon and Schupp, ch. IV).  The
 word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
 ``products`` of two sets calls it once per distinct word pair (u, v).
-``ball`` searches on raw (w, t) pairs.  Both build their results with
-the unchecked constructor ``_element``.
+The probes group a ball by word: ``torsion_probe`` squares each
+distinct word once, and ``center_probe`` multiplies each distinct word
+by x_1, x_2, ... on both sides until the two products differ in word;
+only the elements of a word that passes are tested, on their lattice
+parts.  ``ball`` searches on raw (w, t) pairs.  It and ``products``
+build their results with the unchecked constructor ``_element``.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
@@ -420,6 +424,44 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
     return out
 
 
+def _by_word(elements: Iterable[GroupElement]) -> dict:
+    """The nontrivial elements grouped by word."""
+    groups: dict = {}
+    for g in elements:
+        if g.w or any(g.t):
+            groups.setdefault(g.w, []).append(g)
+    return groups
+
+
+def _squares_to_identity(w: Tuple[int, ...], n: int):
+    """The test t -> [(lift(w) tau(t))^2 = e], or None if it fails for every t.
+
+    With lift(w) * lift(w) = lift(w') tau(c), (lift(w) tau(t))^2 =
+    lift(w') tau(c + sigma_w(t) + t): a nonempty w' rules out every t,
+    and otherwise the test is one signed vector sum.
+    """
+    square, c = _mul_words(w, w, n)
+    if square:
+        return None
+    signs = word_sign_action(w, (1,) * n)
+    return lambda t: not any(h + e * v + v for h, e, v in zip(c, signs, t))
+
+
+def _commutes_with(w: Tuple[int, ...], i: int, n: int):
+    """The test t -> [lift(w) tau(t) commutes with x_i], or None if it
+    fails for every t.
+
+    With lift(w) x_i = lift(w1) tau(c1) and x_i lift(w) = lift(w2) tau(c2),
+    lift(w) tau(t) x_i = lift(w1) tau(c1 + sigma_i(t)) and x_i lift(w) tau(t)
+    = lift(w2) tau(c2 + t): the words differ for every t or for none.
+    """
+    (w1, c1), (w2, c2) = _mul_words(w, (i,), n), _mul_words((i,), w, n)
+    if w1 != w2:
+        return None
+    signs = sign_action(i, (1,) * n)
+    return lambda t: all(a + e * v == b + v for a, e, b, v in zip(c1, signs, c2, t))
+
+
 def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     """Nontrivial ball elements with g^k = identity for some k <= kmax,
     each paired with its order.
@@ -431,31 +473,47 @@ def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     g^2 = tau(v) in the lattice.  If v != 0 no power of g is e: the even
     powers are tau(m v), and the odd powers keep the word w, or are
     tau(k t) when w is empty.  So the order of a torsion element is 2,
-    and the probe costs one multiply per element, whatever kmax is.
+    whatever kmax is.  Each distinct word is squared once by the word
+    kernel; only the elements of a word with w^2 = 1 in W_n are then
+    tested, by one signed vector sum each.
     """
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
-    e = identity(n)
-    return [(g, 2) for g in sorted(ball(n, r), key=element_sort_key)
-            if kmax >= 2 and g != e and multiply(g, g) == e]
+    elements = ball(n, r)
+    if kmax < 2:
+        return []
+    found = []
+    for w, group in _by_word(elements).items():
+        squares_to_e = _squares_to_identity(w, n)
+        if squares_to_e is not None:
+            found.extend((g, 2) for g in group if squares_to_e(g.t))
+    found.sort(key=lambda pair: element_sort_key(pair[0]))
+    return found
 
 
 def center_probe(n: int, r: int) -> List[GroupElement]:
     """Nontrivial ball elements commuting with every generator.
 
-    Expected empty: the center is trivial for n >= 2.
+    Expected empty: the center is trivial for n >= 2.  Each distinct
+    word walks the generators in order through the word kernel and stops
+    at the first x_i whose two products with lift(w) have different
+    words: no element with that word is central.  Only the elements of a
+    word that passes every generator are tested, by one vector
+    comparison per generator.
     """
     if n < 2:
         raise ValueError("center probe needs n >= 2")
     if r < 1:
         raise ValueError("radius must be at least 1")
-    gens = [generator(n, i) for i in range(1, n + 1)]
     found: List[GroupElement] = []
-    e = identity(n)
-    for g in sorted(ball(n, r), key=element_sort_key):
-        if g == e:
-            continue
-        if all(multiply(g, x) == multiply(x, g) for x in gens):
-            found.append(g)
+    for w, group in _by_word(ball(n, r)).items():
+        tests = []
+        for i in range(1, n + 1):
+            commutes = _commutes_with(w, i, n)
+            if commutes is None:
+                break
+            tests.append(commutes)
+        else:
+            found.extend(g for g in group if all(test(g.t) for test in tests))
+    found.sort(key=element_sort_key)
     return found
-

@@ -442,6 +442,15 @@ def test_torsion_probe_answers_a_huge_kmax_at_once():
     assert out == "probe=torsion n=2 radius=2 kmax=100000000 findings: 0\n"
 
 
+def test_the_largest_admitted_center_probe_answers_within_a_second():
+    # n = 706 is the largest rank the size check admits for a probe
+    start = time.perf_counter()
+    proc = _run_process("probe", "center", "--n", "706", "--radius", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "probe=center n=706 radius=1 findings: 0\n"
+
+
 PROBE_ARGV = {
     "torsion": ("probe", "torsion", "--n", "3", "--radius", "6", "--kmax", "2"),
     "center": ("probe", "center", "--n", "3", "--radius", "6"),

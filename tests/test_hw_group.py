@@ -300,18 +300,58 @@ def torsion_by_powers(n, r, kmax, budget=DEFAULT_BALL_BUDGET):
     return found
 
 
-def _counting_multiply(monkeypatch, fake_square=None):
-    """Count hw_group.multiply calls; optionally pretend fake_square^2 = e."""
-    calls = []
+def reference_torsion_probe(n, r, kmax):
+    """Oracle for torsion_probe: square every ball element with multiply."""
+    if r < 1 or kmax < 1:
+        raise ValueError("radius and exponent bound must be at least 1")
+    e = identity(n)
+    return [(g, 2) for g in sorted(ball(n, r), key=element_sort_key)
+            if kmax >= 2 and g != e and hw_group.multiply(g, g) == e]
+
+
+def reference_center_probe(n, r):
+    """Oracle for center_probe: compare g x and x g for every ball element
+    g and generator x with multiply."""
+    if n < 2:
+        raise ValueError("center probe needs n >= 2")
+    if r < 1:
+        raise ValueError("radius must be at least 1")
+    gens = [generator(n, i) for i in range(1, n + 1)]
+    found = []
+    e = identity(n)
+    for g in sorted(ball(n, r), key=element_sort_key):
+        if g == e:
+            continue
+        if all(hw_group.multiply(g, x) == hw_group.multiply(x, g) for x in gens):
+            found.append(g)
+    return found
+
+
+def _plant_square_in_multiply(monkeypatch, fake_square):
+    """Make hw_group.multiply pretend fake_square^2 = e."""
     real = hw_group.multiply
 
-    def counted(a, b):
-        calls.append(1)
-        if fake_square is not None and a == b == fake_square:
+    def planted(a, b):
+        if a == b == fake_square:
             return identity(a.n)
         return real(a, b)
 
-    monkeypatch.setattr(hw_group, "multiply", counted)
+    monkeypatch.setattr(hw_group, "multiply", planted)
+
+
+def _counting_kernel(monkeypatch, planted=None):
+    """Record hw_group._mul_words calls as (u, v) pairs; the dict planted
+    maps a pair (u, v) to the result the kernel should give instead."""
+    calls = []
+    real = hw_group._mul_words
+
+    def counted(u, v, n):
+        calls.append((u, v))
+        if planted and (u, v) in planted:
+            return planted[(u, v)]
+        return real(u, v, n)
+
+    monkeypatch.setattr(hw_group, "_mul_words", counted)
     return calls
 
 
@@ -321,25 +361,118 @@ TORSION_RADII = {0: 4, 1: 4, 2: 4, 3: 3, 4: 3}
 
 @pytest.mark.parametrize("n", sorted(TORSION_RADII))
 def test_torsion_by_the_order_lemma_matches_the_power_search(n, monkeypatch):
-    calls = _counting_multiply(monkeypatch)
+    calls = _counting_kernel(monkeypatch)
     for r in range(1, TORSION_RADII[n] + 1):
-        nontrivial = len(ball(n, r)) - 1
+        words = {g.w for g in ball(n, r) if not g.is_identity()}
         for kmax in range(1, 13):
             expected = torsion_by_powers(n, r, kmax)
+            assert reference_torsion_probe(n, r, kmax) == expected
             calls.clear()
             assert torsion_probe(n, r, kmax) == expected == []
-            # one square per nontrivial element, whatever kmax is
-            assert len(calls) == (nontrivial if kmax >= 2 else 0)
+            # one square per distinct word of a nontrivial element, whatever kmax is
+            assert sorted(calls) == (sorted((w, w) for w in words) if kmax >= 2 else [])
 
 
 def test_torsion_findings_have_order_two(monkeypatch):
-    # with x1^2 = e planted, both searches report x1 with order 2
+    # with x1^2 = e planted, in multiply for the oracles and in the word
+    # kernel for the probe, all three searches report x1 with order 2
     x1 = generator(2, 1)
-    _counting_multiply(monkeypatch, fake_square=x1)
+    _plant_square_in_multiply(monkeypatch, x1)
+    _counting_kernel(monkeypatch, planted={((1,), (1,)): ((), (0, 0))})
     for kmax in range(1, 6):
         expected = [(x1, 2)] if kmax >= 2 else []
         assert torsion_by_powers(2, 2, kmax) == expected
+        assert reference_torsion_probe(2, 2, kmax) == expected
         assert torsion_probe(2, 2, kmax) == expected
+    # sigma_1 negates t_2, so (x1 tau(s e2))^2 = x1^2 too: at radius 3 the
+    # probe also finds x1 x2^2 and x1 x2^-2, whose squares multiply does
+    # not plant
+    assert torsion_probe(2, 3, 2) == [(parse_element(text, 2), 2)
+                                      for text in ("x1 x2^-2", "x1", "x1 x2^2")]
+
+
+@pytest.mark.parametrize("n, r", [(1, 4), (2, 5), (3, 4), (4, 3)])
+def test_probes_match_their_per_element_oracles(n, r):
+    assert torsion_probe(n, r, 2) == reference_torsion_probe(n, r, 2) == []
+    if n >= 2:
+        assert center_probe(n, r) == reference_center_probe(n, r) == []
+
+
+def _predicates_agree(g):
+    """Check the per-word square and commute tests on g against multiply;
+    return (g^2 = e, the number of generators g commutes with)."""
+    n = g.n
+    test = hw_group._squares_to_identity(g.w, n)
+    squares = hw_group.multiply(g, g) == identity(n)
+    assert (test is not None and test(g.t)) == squares, g
+    commuting = 0
+    for i in range(1, n + 1):
+        x = generator(n, i)
+        test = hw_group._commutes_with(g.w, i, n)
+        commutes = hw_group.multiply(g, x) == hw_group.multiply(x, g)
+        assert (test is not None and test(g.t)) == commutes, (g, i)
+        commuting += commutes
+    return squares, commuting
+
+
+def test_per_word_predicates_match_multiply_on_balls():
+    pairs = commuting = squares = 0
+    for n in (2, 3, 4):
+        for g in ball(n, 4):
+            square, gens = _predicates_agree(g)
+            pairs += n
+            commuting += gens
+            squares += square
+    # both answers occur: 81 commuting (element, generator) pairs, and
+    # the three identities square to e
+    assert (pairs, commuting, squares) == (10015, 81, 3)
+
+
+@st.composite
+def _element_case(draw):
+    """An element of rank n in 1..6: a reduced word of up to about 30
+    letters, often an odd palindrome u i u^-1, and a lattice vector with
+    many zeros."""
+    n = draw(st.integers(1, 6))
+    word = []
+    for letter in draw(st.lists(st.integers(1, n), max_size=15)):
+        if not word or word[-1] != letter:
+            word.append(letter)
+    if draw(st.booleans()):
+        middle = draw(st.integers(1, n))
+        if not word or word[-1] != middle:
+            word = word + [middle] + word[::-1]
+    entries = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-(2**70), 2**70))
+    return GroupElement(word, [draw(entries) for _ in range(n)])
+
+
+@settings(derandomize=True, database=None)
+@given(_element_case())
+def test_per_word_predicates_match_multiply(g):
+    _predicates_agree(g)
+
+
+def test_center_probe_finds_a_planted_central_element(monkeypatch):
+    # plant x1 x_i = x_i x1 = lift(x1 x_i) in the word kernel for i != 1
+    n = 3
+    planted = {}
+    for i in range(2, n + 1):
+        planted[((1,), (i,))] = planted[((i,), (1,))] = ((1, i), (0,) * n)
+    _counting_kernel(monkeypatch, planted=planted)
+    # x1^-1 = x1 tau(-e1) and x1 tau(k e1) still fail at x2: sigma_2 negates t_1
+    for r in (1, 2, 3):
+        assert center_probe(n, r) == [generator(n, 1)]
+
+
+def test_center_probe_stops_each_word_at_its_first_failing_generator(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    n = 30
+    assert center_probe(n, 1) == []
+    # x1 commutes with itself and fails at x2; every other x_i fails at x1
+    expected = [((1,), (1,)), ((1,), (1,)), ((1,), (2,)), ((2,), (1,))]
+    for i in range(2, n + 1):
+        expected += [((i,), (1,)), ((1,), (i,))]
+    assert sorted(calls) == sorted(expected) and len(calls) == 2 * (n + 1)
 
 
 def test_torsion_probe_keeps_its_refusals(monkeypatch):
