@@ -26,6 +26,7 @@ process loads only those: ``nf`` needs ``hw_group`` alone, and
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -428,17 +429,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.format == "json":
-        import itertools
         import json
 
-        # streamed in batches: every number already passed decimal_text,
-        # and on an unbuffered stdout each write is a system call
+        # every number already passed decimal_text
         chunks = json.JSONEncoder(indent=2).iterencode(record)
-        while batch := list(itertools.islice(chunks, 4096)):
-            sys.stdout.write("".join(batch))
-        sys.stdout.write("\n")
+        end = "\n"
     else:
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        chunks, end = (line + "\n" for line in lines), ""
+    # Written in batches, so no output is held as one string; on an
+    # unbuffered stdout each write is a system call.
+    while batch := list(itertools.islice(chunks, 4096)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write(end)
     return code
 
 

@@ -12,12 +12,18 @@ evaluation and fixed-point solving are all coordinatewise.
 G_2 maps onto the classical three-dimensional group via x1 -> A,
 x2 -> B; the squares A^2, B^2 are the unit translations e_1, e_2, so
 the normal form (w, t) evaluates to (product of letter matrices)
-composed with the translation (t_1, t_2, 0); the probes compose the
-letters once per distinct word.  That model is where the fixed-point
-probe runs: the image group is Bieberbach, hence acts
-freely; the separate coordinate action on R^n (half-step on the own
-axis, negation elsewhere) is faithful only on the one-letter subgroups
-and is exposed as rn_action.
+composed with the translation (t_1, t_2, 0).  That model is where the
+fixed-point and injectivity probes run: the image group is Bieberbach,
+hence acts freely; the separate coordinate action on R^n (half-step on
+the own axis, negation elsewhere) is faithful only on the one-letter
+subgroups and is exposed as rn_action.
+
+The probes compose the letters once per distinct word, in Fractions,
+and then work on integers: every translation of the model lies in
+(1/2)Z, so an element's image is its sign vector and its doubled
+translation.  The injectivity probe keys on that pair, and the
+fixed-point probe tests it directly; only a finding is turned into a
+rational point, by fixed_points.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import _Value
-from .hw_group import GroupElement, ball, element_sort_key, identity
+from . import VerificationError, _Value
+from .hw_group import GroupElement, ball, element_sort_key
 
 __all__ = [
     "AffineIsometry",
@@ -190,15 +196,34 @@ def g2_isometry(g: GroupElement) -> AffineIsometry:
     return out @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
 
 
-def _g2_images(elements: Iterable[GroupElement]) -> Iterator[tuple]:
-    """Each element with its g2_isometry, whose letter product is
-    composed once per distinct word."""
-    words: Dict[Tuple[int, ...], AffineIsometry] = {}
+def _g2_doubled(elements: Iterable[GroupElement]) -> Iterator[tuple]:
+    """Each element with the signs and the doubled translation of its
+    g2_isometry, as integers.
+
+    The letter product of each distinct word is composed once in
+    Fractions; lift(w) tau(t) then maps to (S, a + S (t_1, t_2, 0)), whose
+    doubled translation is 2a + 2 S (t_1, t_2, 0).  Raises
+    VerificationError if a letter product leaves the half-integers.
+    """
+    words: Dict[Tuple[int, ...], tuple] = {}
     for g in elements:
         head = words.get(g.w)
         if head is None:
-            head = words[g.w] = g2_isometry(GroupElement(g.w, (0, 0)))
-        yield g, head @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
+            iso = g2_isometry(GroupElement(g.w, (0, 0)))
+            doubled = [2 * v for v in iso.translation]
+            if any(v.denominator != 1 for v in doubled):
+                raise VerificationError(
+                    f"the letter product of word {g.w} translates off (1/2)Z")
+            head = words[g.w] = (iso.signs, tuple(int(v) for v in doubled))
+        signs, (a1, a2, a3) = head
+        t1, t2 = g.t
+        yield g, signs, (a1 + 2 * signs[0] * t1, a2 + 2 * signs[1] * t2, a3)
+
+
+def _fixes_a_point(signs: Sequence[int], doubled: Sequence[int]) -> bool:
+    """Whether v -> S v + doubled / 2 has a fixed point: a sign -1 always
+    solves its coordinate, and a sign +1 only when its translation is 0."""
+    return not any(d for s, d in zip(signs, doubled) if s == 1)
 
 
 def rn_isometry(g: GroupElement) -> AffineIsometry:
@@ -252,13 +277,13 @@ def fixed_point_probe(n: int, r: int) -> List[Tuple[GroupElement, Tuple[Fraction
         raise ValueError("fixed-point probe runs in the rank-2 matrix model")
     if r < 1:
         raise ValueError("radius must be at least 1")
-    e = identity(n)
     found = []
-    for g, iso in _g2_images(sorted(ball(n, r), key=element_sort_key)):
-        if g == e:
-            continue
-        point = fixed_points(iso)
-        if point is not None:
+    for g, signs, doubled in _g2_doubled(sorted(ball(n, r), key=element_sort_key)):
+        if _fixes_a_point(signs, doubled) and not g.is_identity():
+            point = fixed_points(g2_isometry(g))
+            if point is None:
+                raise VerificationError(
+                    f"the integer test finds a fixed point of {g}, fixed_points none")
             found.append((g, point))
     return found
 
@@ -271,12 +296,13 @@ def injectivity_probe(r: int) -> List[Tuple[GroupElement, GroupElement]]:
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
-    images: Dict[AffineIsometry, GroupElement] = {}
+    images: Dict[tuple, GroupElement] = {}
     collisions: List[Tuple[GroupElement, GroupElement]] = []
-    for g, iso in _g2_images(sorted(ball(2, r), key=element_sort_key)):
-        other = images.get(iso)
+    for g, signs, doubled in _g2_doubled(sorted(ball(2, r), key=element_sort_key)):
+        key = (signs, doubled)
+        other = images.get(key)
         if other is None:
-            images[iso] = g
+            images[key] = g
         else:
             collisions.append((other, g))
     return collisions

@@ -1,18 +1,23 @@
 """Finite-support elements of the group ring over F_2 and the
 unique-product tally for finite subsets.
 
-Supports are sets of canonical normal forms, so convolution is a double
-loop with symmetric-difference accumulation (coefficients live in F_2).
-Both run over ``hw_group.products``, which multiplies once per distinct
-pair of words.
+Supports are sets of canonical normal forms.  The tally and the
+convolution both count the products of X x Y: ``hw_group.products``
+multiplies once per distinct pair of words and yields raw (w, t) pairs,
+which are counted as plain tuples and wrapped as a ``GroupElement``
+once per distinct product.  The tally keeps every count, and the
+convolution the products counted an odd number of times (coefficients
+live in F_2).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List
 
 from . import ElementSyntaxError, _Value
-from .hw_group import GroupElement, element_sort_key, identity, parse_element, products
+from .hw_group import (GroupElement, _element, element_sort_key, identity, parse_element,
+                       products)
 
 __all__ = [
     "RingElement",
@@ -49,28 +54,31 @@ def ring_one(n: int) -> RingElement:
     return RingElement(n, frozenset({identity(n)}))
 
 
+def _count_products(xs: Iterable[GroupElement], ys: Iterable[GroupElement]) -> Counter:
+    """How often each raw (w, t) product of X x Y occurs, in the order
+    the products first appear."""
+    return Counter(products(xs, ys))
+
+
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Convolution over F_2: pairwise products accumulated mod 2."""
+    """Convolution over F_2: the products represented an odd number of times."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    acc: set = set()
-    for g in products(a.support, b.support):
-        acc ^= {g}
-    return RingElement(a.n, frozenset(acc))
+    counts = _count_products(a.support, b.support)
+    return RingElement(a.n, frozenset(
+        _element(w, t) for (w, t), count in counts.items() if count & 1))
 
 
 def product_tally(
     x_set: Iterable[GroupElement], y_set: Iterable[GroupElement]
 ) -> Dict[GroupElement, int]:
-    """Exact representation counts of products over X x Y."""
+    """Exact representation counts of products over X x Y, in the order
+    the products first appear."""
     xs = list(x_set)
     ys = list(y_set)
     if not xs or not ys:
         raise ValueError("tally needs nonempty sets")
-    counts: Dict[GroupElement, int] = {}
-    for g in products(xs, ys):
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+    return {_element(w, t): count for (w, t), count in _count_products(xs, ys).items()}
 
 
 def unique_product_witnesses(

@@ -12,25 +12,28 @@ Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
 lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
 (the free-product normal form of W_n; Lyndon and Schupp, ch. IV).  The
 word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
-``products`` of two sets calls it once per distinct word pair (u, v).
+``products`` of two sets calls it once per distinct word pair (u, v) and
+yields raw (w, t) pairs, which ``group_ring`` counts as tuples and wraps
+once per distinct product.
 The probes group a ball by word: ``torsion_probe`` squares each
 distinct word once, and ``center_probe`` multiplies each distinct word
 by x_1, x_2, ... on both sides until the two products differ in word;
 only the elements of a word that passes are tested, on their lattice
-parts.  ``ball`` searches on raw (w, t) pairs.  It and ``products``
-build their results with the unchecked constructor ``_element``.
+parts.  ``ball`` searches on raw (w, t) pairs and builds its results
+with the unchecked constructor ``_element``.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
 and are re-exported here.  Of the standard library it imports only
-``re``, ``sys`` and ``typing``, which ``cli`` has loaded before any
-command runs; no ``dataclasses`` and no ``fractions``.
+``operator``, ``re``, ``sys`` and ``typing``, which ``cli`` has loaded
+before any command runs; no ``dataclasses`` and no ``fractions``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from operator import add, mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
@@ -217,14 +220,17 @@ def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
     return u[:top - k] + v[k:], tuple(c)
 
 
-def products(xs: Iterable[GroupElement],
-             ys: Iterable[GroupElement]) -> Iterator[GroupElement]:
-    """x * y for x in xs and y in ys, row by row; ValueError on a rank mismatch.
+def products(xs: Iterable[GroupElement], ys: Iterable[GroupElement]
+             ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """x * y for x in xs and y in ys as raw (w, t) pairs, row by row;
+    ValueError on a rank mismatch.
 
     With x = lift(u) tau(s), y = lift(v) tau(t) and lift(u) * lift(v) =
     lift(w) tau(c), x * y = lift(w) tau(c + sigma_v(s) + t).  Each distinct
     word pair goes through the word kernel once, and the row of u's
-    products is kept only until the last x with word u.
+    products is kept only until the last x with word u.  The pairs are
+    the fields of each product's normal form, unwrapped, so a caller can
+    count them as plain tuples and wrap each distinct product once.
     """
     xs, ys = list(xs), list(ys)
     ranks = {g.n for g in xs + ys}
@@ -244,10 +250,10 @@ def products(xs: Iterable[GroupElement],
             row = rows[x.w] = [_mul_words(x.w, v, n) for v in column]
         if last[x.w] == i:
             del rows[x.w]
+        s = x.t
         for j, signs, t in cols:
             w, c = row[j]
-            yield _element(w, tuple(h + e * a + b for h, e, a, b
-                                    in zip(c, signs, x.t, t)))
+            yield w, tuple(map(add, map(add, c, map(mul, signs, s)), t))
 
 
 _ATOM = re.compile(r"x(\d+)(?:\^(-?\d+))?$")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hwgroups import crystal
+from hwgroups import VerificationError, crystal
 from hwgroups.crystal import (
     AffineIsometry,
     fixed_point_probe,
@@ -232,23 +232,34 @@ def test_fixed_point_probe_matrix_model():
         fixed_point_probe(2, 0)
 
 
-def _reference_fixed_point_probe(r):
-    """The probe with one g2_isometry per element: the oracle for the
-    letter products that the probes share between elements."""
+def _g2_images(elements):
+    """Each element with its g2_isometry, whose letter product is
+    composed once per distinct word, in Fractions: the path the probes
+    took before they decided on doubled integers."""
+    words = {}
+    for g in elements:
+        head = words.get(g.w)
+        if head is None:
+            head = words[g.w] = g2_isometry(GroupElement(g.w, (0, 0)))
+        yield g, head @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
+
+
+def _fraction_fixed_point_probe(r):
+    """The fixed-point probe on Fractions: the oracle for the integer test."""
     e = identity(2)
     found = []
-    for g in sorted(crystal.ball(2, r), key=element_sort_key):
+    for g, iso in _g2_images(sorted(crystal.ball(2, r), key=element_sort_key)):
         if g != e:
-            point = crystal.fixed_points(g2_isometry(g))
+            point = crystal.fixed_points(iso)
             if point is not None:
                 found.append((g, point))
     return found
 
 
-def _reference_injectivity_probe(r):
+def _fraction_injectivity_probe(r):
+    """The injectivity probe keyed on Fraction isometries."""
     images, collisions = {}, []
-    for g in sorted(crystal.ball(2, r), key=element_sort_key):
-        iso = g2_isometry(g)
+    for g, iso in _g2_images(sorted(crystal.ball(2, r), key=element_sort_key)):
         if iso in images:
             collisions.append((images[iso], g))
         else:
@@ -256,19 +267,72 @@ def _reference_injectivity_probe(r):
     return collisions
 
 
+def _doubled(iso):
+    """The translation of an isometry with translation in (1/2)Z, doubled."""
+    doubled = tuple(2 * v for v in iso.translation)
+    assert all(v.denominator == 1 for v in doubled), iso
+    return tuple(int(v) for v in doubled)
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_probes_match_the_per_element_isometry(r, monkeypatch):
     elements = sorted(ball(2, r), key=element_sort_key)
-    assert list(crystal._g2_images(elements)) == [(g, g2_isometry(g)) for g in elements]
-    assert fixed_point_probe(2, r) == _reference_fixed_point_probe(r) == []
-    assert injectivity_probe(r) == _reference_injectivity_probe(r) == []
+    images = list(_g2_images(elements))
+    assert images == [(g, g2_isometry(g)) for g in elements]
+    assert list(crystal._g2_doubled(elements)) == [
+        (g, iso.signs, _doubled(iso)) for g, iso in images]
+    assert fixed_point_probe(2, r) == _fraction_fixed_point_probe(r) == []
+    assert injectivity_probe(r) == _fraction_injectivity_probe(r) == []
     # Planted findings: every element with a reflecting first coordinate
-    # "fixes" its translation, and a ball listed twice collides with itself.
+    # "fixes" its translation, by the integer test and by fixed_points
+    # alike, and a ball listed twice collides with itself.
+    monkeypatch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: signs[0] == -1)
     monkeypatch.setattr(crystal, "fixed_points",
                         lambda iso: iso.translation if iso.signs[0] == -1 else None)
     monkeypatch.setattr(crystal, "ball", lambda n, radius: 2 * list(ball(n, radius)))
     found = fixed_point_probe(2, r)
-    assert found and found == _reference_fixed_point_probe(r)
+    assert found and found == _fraction_fixed_point_probe(r)
     collisions = injectivity_probe(r)
     assert len(collisions) == len(elements)
-    assert collisions == _reference_injectivity_probe(r)
+    assert collisions == _fraction_injectivity_probe(r)
+
+
+def test_integer_decisions_match_the_rational_model():
+    # Every element of ball(2, 8), which holds the balls of smaller radius,
+    # and each of its words again with translations far from the origin.
+    rng = random.Random(97)
+    elements = sorted(ball(2, 8), key=element_sort_key)
+    elements += [GroupElement(w, (rng.randrange(-60, 61), rng.randrange(-60, 61)))
+                 for w in sorted({g.w for g in elements}) for _ in range(3)]
+    keys = set()
+    for g, signs, doubled in crystal._g2_doubled(elements):
+        iso = g2_isometry(g)
+        assert crystal._fixes_a_point(signs, doubled) == (fixed_points(iso) is not None)
+        # the collision key is the isometry itself, doubled, so two keys
+        # are equal exactly when the two isometries are
+        assert (signs, doubled) == (iso.signs, _doubled(iso))
+        keys.add((signs, doubled))
+    assert len(keys) == len(set(elements))
+    # Planted translations: every sign pattern, with many zero coordinates,
+    # so that the +1 coordinates are often consistent.
+    for _ in range(3000):
+        signs = tuple(rng.choice((1, -1)) for _ in range(3))
+        doubled = tuple(rng.randrange(-5, 6) if rng.random() < 0.4 else 0 for _ in range(3))
+        iso = AffineIsometry(signs, tuple(Fraction(d, 2) for d in doubled))
+        assert crystal._fixes_a_point(signs, doubled) == (fixed_points(iso) is not None)
+
+
+def test_integer_probes_refuse_what_the_rational_model_contradicts(monkeypatch):
+    # A letter product off (1/2)Z has no doubled-integer form.
+    a, b = gamma3_generators()
+    quarter = AffineIsometry(a.signs, (Fraction(1, 4), Fraction(1, 2), Fraction(0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(crystal, "gamma3_generators", lambda: (quarter, b))
+        with pytest.raises(VerificationError, match="off"):
+            fixed_point_probe(2, 1)
+        with pytest.raises(VerificationError, match="off"):
+            injectivity_probe(1)
+    # An integer finding that fixed_points does not confirm is refused.
+    monkeypatch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: True)
+    with pytest.raises(VerificationError, match="fixed_points"):
+        fixed_point_probe(2, 2)

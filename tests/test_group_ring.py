@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hwgroups.group_ring import (
     RingElement,
@@ -14,11 +16,14 @@ from hwgroups.group_ring import (
 )
 from hwgroups.hw_group import (
     ElementSyntaxError,
+    GroupElement,
+    append_letter,
     generator,
     identity,
     inverse,
     multiply,
     parse_element,
+    power,
 )
 
 
@@ -100,6 +105,71 @@ def test_product_tally_total_is_the_pair_count():
         y = {_random_element(rng, 2) for _ in range(rng.randrange(1, 5))}
         tally = product_tally(x, y)
         assert sum(tally.values()) == len(x) * len(y)
+
+
+def _fold(x, y):
+    """x * y as the append_letter fold of y's letters into x, then y's
+    lattice part added: the oracle for the set products."""
+    g = x
+    for letter in y.w:
+        g = append_letter(g, letter)
+    return GroupElement(g.w, [a + b for a, b in zip(g.t, y.t)])
+
+
+@st.composite
+def _element_lists(draw):
+    """A rank n in 1..5 and two nonempty element lists of that rank.
+    The words come from a small pool that holds each word and its
+    reverse, so words repeat and some word pairs cancel fully; small
+    lattice entries make repeated products common."""
+    n = draw(st.integers(1, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = []
+        for letter in draw(st.lists(st.integers(1, n), max_size=6)):
+            if not word or word[-1] != letter:
+                word.append(letter)
+        pool += [tuple(word), tuple(reversed(word))]
+    sides = [[GroupElement(draw(st.sampled_from(pool)),
+                           [draw(st.integers(-2, 2)) for _ in range(n)])
+              for _ in range(draw(st.integers(1, 8)))]
+             for _ in range(2)]
+    return n, *sides
+
+
+# x1 x2 x3 times x3 x2 x1 cancels to a lattice element
+_CANCELLING = [GroupElement((1, 2, 3), (0, 1, 0)), GroupElement((1, 2, 3), (0, 0, 0))]
+
+
+@settings(derandomize=True, database=None)
+@given(_element_lists())
+@example((3, _CANCELLING, [GroupElement((3, 2, 1), (1, 0, 0))] * 2 + _CANCELLING))
+@example((2, [], [identity(2)]))
+@example((4, [identity(4)], []))
+def test_tally_and_ring_product_match_the_letter_fold(sets):
+    n, xs, ys = sets
+    folded = [_fold(x, y) for x in xs for y in ys]
+    if xs and ys:
+        tally = product_tally(xs, ys)
+        assert tally == Counter(folded)
+        # the products are listed in the order they first appear
+        assert list(tally) == list(dict.fromkeys(folded))
+    else:
+        with pytest.raises(ValueError):
+            product_tally(xs, ys)
+    a, b = RingElement(n, xs), RingElement(n, ys)
+    counts = Counter(_fold(x, y) for x in a.support for y in b.support)
+    assert ring_mul(a, b) == RingElement(n, {g for g, k in counts.items() if k % 2})
+
+
+def test_ring_mul_keeps_the_products_hit_an_odd_number_of_times():
+    # In G_1, x1^i * x1^j = x1^(i+j): over {1, x1, x1^2} squared, x1^2 is
+    # hit three times, and x1 and x1^3 twice each.
+    x = [power(generator(1, 1), k) for k in range(5)]
+    tally = product_tally(x[:3], x[:3])
+    assert list(tally.items()) == [(x[0], 1), (x[1], 2), (x[2], 3), (x[3], 2), (x[4], 1)]
+    s = RingElement(1, x[:3])
+    assert ring_mul(s, s) == RingElement(1, {x[0], x[2], x[4]})
 
 
 def test_unique_product_witnesses():

@@ -556,11 +556,12 @@ def _set_pair(draw):
 def test_products_match_the_pairwise_multiply(sides):
     xs, ys = sides
     got = list(products(xs, ys))
-    assert got == [multiply(x, y) for x in xs for y in ys]
-    for g in got:
-        # the unvalidated results are genuine normal forms with int entries
-        assert GroupElement(g.w, g.t) == g and hash(GroupElement(g.w, g.t)) == hash(g)
-        assert all(type(v) is int for v in g.t)
+    assert got == [(g.w, g.t) for g in (multiply(x, y) for x in xs for y in ys)]
+    for w, t in got:
+        # the raw pairs are the fields of genuine normal forms, with int entries
+        g = GroupElement(w, t)
+        assert (g.w, g.t) == (w, t) and type(w) is tuple and type(t) is tuple
+        assert all(type(v) is int for v in t)
 
 
 def test_products_of_an_empty_side_and_of_mixed_ranks():
