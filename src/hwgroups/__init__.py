@@ -80,7 +80,12 @@ class _Value:
     ``dataclasses``: a subclass names its fields in ``__slots__`` and
     sets each once in ``__init__``.  Equality (same class only), hash,
     repr and pickling go by the tuple of fields, as a frozen dataclass's
-    do."""
+    do.
+
+    ``hw_group.GroupElement`` keeps the same contract but is not a
+    ``_Value``: it is a tuple subclass, since a ball, a tally or a ring
+    product builds and hashes up to about 10^4 of them per call, and a
+    tuple is built and hashed without a Python frame."""
 
     __slots__ = ()
 

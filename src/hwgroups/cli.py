@@ -4,10 +4,12 @@ Every subcommand is a function ``cmd_*(args) -> (exit_code, record,
 lines)`` that prints nothing: ``record`` is the result as a JSON object
 and ``lines`` is its text form (CSV for ``e3-table``).  ``main`` renders
 exactly one of the two, chosen by ``--format``, so identical invocations
-are byte-identical.  A command refuses an input by raising
-``ValueError``, which ``main`` reports on stderr as ``error: ...``;
-it catches the package root's errors by class and reports them as
-``verification failed``, ``parse error`` or ``resource guard``.
+are byte-identical; ``en-basis``, whose output grows as n 2^n, builds
+only that one and leaves the other empty.  A command refuses an input
+by raising ``ValueError``, which ``main`` reports on stderr as
+``error: ...``; it catches the package root's errors by class and
+reports them as ``verification failed``, ``parse error`` or
+``resource guard``.
 Before a command with ``--n`` runs, ``main`` refuses a request whose
 output is too long or whose enumeration exceeds ``DEFAULT_BALL_BUDGET``
 (``--unsafe-large`` lifts this on ``poincare`` only); ``up-check`` also
@@ -117,13 +119,12 @@ def cmd_en_basis(args: argparse.Namespace) -> Result:
     from . import cohomology_f2
 
     basis = cohomology_f2.en_basis(args.n)
-    symbols = [str(e) for e in basis]
-    record = {"n": args.n, "basis": [
-        {"grade": e.grade, "p": e.bidegree[0], "q": e.bidegree[1], "symbol": symbol}
-        for e, symbol in zip(basis, symbols)
-    ]}
-    return 0, record, [f"({e.bidegree[0]},{e.bidegree[1]}) {symbol}"
-                       for e, symbol in zip(basis, symbols)]
+    if args.format == "json":
+        return 0, {"n": args.n, "basis": [
+            {"grade": e.grade, "p": e.bidegree[0], "q": e.bidegree[1], "symbol": str(e)}
+            for e in basis
+        ]}, []
+    return 0, {}, [f"({e.bidegree[0]},{e.bidegree[1]}) {e}" for e in basis]
 
 
 def cmd_abelianization(args: argparse.Namespace) -> Result:

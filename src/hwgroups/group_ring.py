@@ -5,9 +5,11 @@ Supports are sets of canonical normal forms.  The tally and the
 convolution both count the products of X x Y: ``hw_group.products``
 multiplies once per distinct pair of words and yields raw (w, t) pairs,
 which are counted as plain tuples and wrapped as a ``GroupElement``
-once per distinct product.  The tally keeps every count, and the
-convolution the products counted an odd number of times (coefficients
-live in F_2).
+once per distinct product, by mapping ``hw_group._element`` over them.
+The tally keeps every count, and the convolution the products counted
+an odd number of times (coefficients live in F_2).  The convolution's
+support comes from two checked elements of one rank, so it is built
+without the per-member rank check of ``RingElement``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ class RingElement(_Value):
         return ring_mul(self, other)
 
 
+def _ring_element(n: int, support: frozenset) -> RingElement:
+    """RingElement(n, support) without the checks, for a frozenset of
+    elements of rank n."""
+    r = object.__new__(RingElement)
+    object.__setattr__(r, "n", n)
+    object.__setattr__(r, "support", support)
+    return r
+
+
 def ring_one(n: int) -> RingElement:
     return RingElement(n, frozenset({identity(n)}))
 
@@ -65,8 +76,8 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
     counts = _count_products(a.support, b.support)
-    return RingElement(a.n, frozenset(
-        _element(w, t) for (w, t), count in counts.items() if count & 1))
+    return _ring_element(a.n, frozenset(
+        map(_element, [pair for pair, count in counts.items() if count & 1])))
 
 
 def product_tally(
@@ -78,7 +89,8 @@ def product_tally(
     ys = list(y_set)
     if not xs or not ys:
         raise ValueError("tally needs nonempty sets")
-    return {_element(w, t): count for (w, t), count in _count_products(xs, ys).items()}
+    counts = _count_products(xs, ys)
+    return dict(zip(map(_element, counts), counts.values()))
 
 
 def unique_product_witnesses(

@@ -19,25 +19,32 @@ The probes group a ball by word: ``torsion_probe`` squares each
 distinct word once, and ``center_probe`` multiplies each distinct word
 by x_1, x_2, ... on both sides until the two products differ in word;
 only the elements of a word that passes are tested, on their lattice
-parts.  ``ball`` searches on raw (w, t) pairs and builds its results
-with the unchecked constructor ``_element``.
+parts.  ``ball`` searches on raw (w, t) pairs.
+
+A ``GroupElement`` is a tuple holding the pair (w, t), so it is built
+and hashed in C.  The unchecked constructor ``_element`` takes such a
+pair, and ``ball``, ``group_ring.product_tally`` and ``ring_mul`` map it
+over their raw results, with no Python frame per element.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
 and are re-exported here.  Of the standard library it imports only
-``operator``, ``re``, ``sys`` and ``typing``, which ``cli`` has loaded
-before any command runs; no ``dataclasses`` and no ``fractions``.
+``functools``, ``itertools``, ``operator``, ``re``, ``sys`` and
+``typing``, which ``cli`` has loaded before any command runs (``re``
+loads the first three); no ``dataclasses`` and no ``fractions``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from operator import add, mul
+from functools import partial
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
-               VerificationError, _Value, decimal_text)
+               VerificationError, decimal_text)
 
 __all__ = [
     "GroupElement",
@@ -62,12 +69,23 @@ __all__ = [
     "element_sort_key",
 ]
 
-class GroupElement(_Value):
-    """Normal form (w, t): reduced word part and lattice exponent vector."""
 
-    __slots__ = ("w", "t")
+class GroupElement(tuple):
+    """Normal form (w, t): reduced word part and lattice exponent vector.
 
-    def __init__(self, w: Sequence[int], t: Sequence[int]) -> None:
+    The pair (w, t) as a tuple, so that building and hashing an element
+    runs no Python frame: hash(g) == hash((w, t)).  It is still a value of
+    its own.  It equals only a GroupElement, never the plain pair, from
+    either side; it has no order (sort with ``element_sort_key``), and
+    ``+`` and ``k * g`` raise TypeError rather than act on the pair.
+    """
+
+    __slots__ = ()
+
+    w = property(itemgetter(0), doc="The reduced word, a tuple of letters 1..n.")
+    t = property(itemgetter(1), doc="The lattice exponent vector, a tuple of n ints.")
+
+    def __new__(cls, w: Sequence[int], t: Sequence[int]) -> "GroupElement":
         w = tuple(int(i) for i in w)
         t = tuple(int(v) for v in t)
         n = len(t)
@@ -78,8 +96,34 @@ class GroupElement(_Value):
             if letter == prev:
                 raise ValueError("word part is not reduced")
             prev = letter
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "t", t)
+        return tuple.__new__(cls, (w, t))
+
+    # tuple's == and != would see the pair; Python tries a subclass's
+    # reflected method first, so (w, t) == g also comes here.
+    def __eq__(self, other):
+        return other.__class__ is GroupElement and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError("GroupElement has no order; sort with element_sort_key")
+
+    def _not_a_sequence(self, other):
+        raise TypeError("GroupElement is not a sequence to concatenate or repeat; "
+                        "g * h is the group product")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __add__ = __radd__ = __rmul__ = _not_a_sequence
+    del _unordered, _not_a_sequence
+
+    def __repr__(self) -> str:
+        return f"GroupElement(w={self[0]!r}, t={self[1]!r})"
+
+    def __reduce__(self):
+        return GroupElement, tuple(self)
 
     @property
     def n(self) -> int:
@@ -189,13 +233,9 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return multiply(multiply(inverse(a), inverse(b)), multiply(a, b))
 
 
-def _element(w: Tuple[int, ...], t: Tuple[int, ...]) -> GroupElement:
-    """GroupElement(w, t) without the checks, for a reduced word w of
-    letters in 1..len(t) and a tuple t of ints."""
-    g = object.__new__(GroupElement)
-    object.__setattr__(g, "w", w)
-    object.__setattr__(g, "t", t)
-    return g
+# GroupElement(w, t) without the checks, from the pair (w, t) of a
+# reduced word of letters in 1..len(t) and a tuple of ints.
+_element = partial(tuple.__new__, GroupElement)
 
 
 def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
@@ -426,7 +466,7 @@ def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement
     out = set()
     while seen:
         w, lattices = seen.popitem()
-        out.update(_element(w, t) for t in lattices)
+        out.update(map(_element, zip(repeat(w), lattices)))
     return out
 
 

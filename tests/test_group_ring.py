@@ -87,6 +87,9 @@ def test_ring_laws_on_random_elements():
 def test_ring_rank_mismatch():
     with pytest.raises(ValueError):
         ring_mul(ring_one(2), ring_one(3))
+    # ring_mul builds its result unchecked; the public constructor checks
+    with pytest.raises(ValueError, match="wrong rank"):
+        RingElement(2, {identity(3)})
 
 
 def test_product_tally_counts():

@@ -176,6 +176,15 @@ def test_element_validation():
         GroupElement((3,), (0, 0))
 
 
+def test_an_element_is_not_a_sequence():
+    # As a tuple subclass it would concatenate or repeat the pair (w, t).
+    g = generator(2, 1)
+    for combine in (lambda: g + g, lambda: g + (1,), lambda: (1,) + g, lambda: 2 * g):
+        with pytest.raises(TypeError, match="not a sequence"):
+            combine()
+    assert g * g == power(g, 2)
+
+
 def test_project_w():
     g = parse_element("x1 x2 x1", 3)
     assert project_w(g) == (1, 2, 1)
@@ -274,6 +283,16 @@ def test_ball_matches_the_append_letter_search(n, r):
         for search in (ball, reference_ball):
             with pytest.raises(BallBudgetError, match=f"budget of {size - 1} elements"):
                 search(n, r, budget=size - 1)
+
+
+@pytest.mark.parametrize("n, r", [(1, 12), (2, 8), (3, 5), (4, 4)])
+def test_unchecked_constructor_matches_the_checked_one(n, r):
+    for g in ball(n, r):
+        pair = (g.w, g.t)
+        trusted, checked = hw_group._element(pair), GroupElement(*pair)
+        assert type(trusted) is GroupElement and trusted == checked
+        assert hash(trusted) == hash(checked) == hash(pair)
+        assert trusted.w is pair[0] and trusted.t is pair[1]
 
 
 def test_probes_find_nothing_small():

@@ -4,6 +4,7 @@ import ast
 import copy
 import doctest
 import importlib
+import operator
 import os
 import pickle
 import pkgutil
@@ -168,8 +169,19 @@ def test_value_semantics(module, name, fields, text):
     key = tuple(fields.values())
     assert repr(value) == text
     assert value == cls(*key) and hash(value) == hash(cls(*key)) == hash(key)
-    assert value.__eq__(key) is NotImplemented and value != key
+    assert value != key and key != value
+    # A GroupElement is a tuple subclass, so it must refuse the plain
+    # tuple itself; the others leave that to the tuple.
+    assert value.__eq__(key) is (False if name == "GroupElement" else NotImplemented)
     assert not hasattr(value, "__dict__")  # __slots__ only
+    for k, v in fields.items():  # each field is the value passed in, of its type
+        assert getattr(value, k) == v and type(getattr(value, k)) is type(v)
+    # No order, so sorted() cannot quietly use one: not between values,
+    # and not against the plain tuple from either side.
+    for a, b in ((value, value), (value, key), (key, value)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, b)
     field = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(value, field, fields[field])
