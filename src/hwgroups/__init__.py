@@ -75,45 +75,55 @@ def check_digits(bits: int, name: str) -> None:
         raise _too_many_digits(name)
 
 
-class _Value:
+class _Value(tuple):
     """Base of the package's immutable values, which load no
-    ``dataclasses``: a subclass names its fields in ``__slots__`` and
-    sets each once in ``__init__``.  Equality (same class only), hash,
-    repr and pickling go by the tuple of fields, as a frozen dataclass's
-    do.
+    ``dataclasses``.  A value is a tuple of its fields, so it is built
+    and hashed in C: hash(v) == hash(fields).  A subclass names its
+    fields in ``_fields``, declares ``__slots__ = ()`` so that it has no
+    ``__dict__``, and returns ``tuple.__new__(cls, fields)`` from a
+    ``__new__`` that checks them; each field is read through a property
+    over ``operator.itemgetter``.
 
-    ``hw_group.GroupElement`` keeps the same contract but is not a
-    ``_Value``: it is a tuple subclass, since a ball, a tally or a ring
-    product builds and hashes up to about 10^4 of them per call, and a
-    tuple is built and hashed without a Python frame."""
+    It is still a value of its own, as a frozen dataclass is: it equals
+    only a value of its class, never the plain tuple, from either side;
+    its repr names the fields, and pickling goes through the checked
+    constructor.  It has no order, and ``+`` and ``k * v`` raise
+    TypeError rather than act on the tuple, unless the subclass
+    defines them."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # A C attrgetter, so that hashing a value runs no Python frame.
-        get = operator.attrgetter(*cls.__slots__)
-        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(operator.itemgetter(i)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
+    # tuple's == and != would see the fields; Python tries a subclass's
+    # reflected method first, so fields == v also comes here.
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple(self) == other._astuple(other)
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._astuple(self))
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__qualname__} has no order")
+
+    def _not_a_sequence(self, other):
+        raise TypeError(f"{type(self).__qualname__} is not a sequence to "
+                        "concatenate or repeat")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+    del _unordered, _not_a_sequence
 
     def __repr__(self):
-        pairs = zip(self.__slots__, self._astuple(self))
+        pairs = zip(self._fields, self)
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
     def __reduce__(self):
-        return type(self), self._astuple(self)
+        return type(self), tuple(self)
 
 
 # Each exported name and the module that defines it.  A name is imported

@@ -198,9 +198,10 @@ class EnBasisElement(_Value):
     representatives surviving reduction modulo the relation span.
     """
 
-    __slots__ = ("grade", "z_index", "g_mask")
+    __slots__ = ()
+    _fields = ("grade", "z_index", "g_mask")
 
-    def __init__(self, grade: int, z_index: int, g_mask: int) -> None:
+    def __new__(cls, grade: int, z_index: int, g_mask: int) -> "EnBasisElement":
         if grade not in (0, 1, 2):
             raise ValueError("grade must be 0, 1 or 2")
         if grade == 0 and (z_index or g_mask):
@@ -210,9 +211,7 @@ class EnBasisElement(_Value):
                 raise ValueError("symbol needs a generator index")
             if g_mask >> (z_index - 1) & 1:
                 raise ValueError("symbol index must avoid its subset")
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "z_index", z_index)
-        object.__setattr__(self, "g_mask", g_mask)
+        return tuple.__new__(cls, (grade, z_index, g_mask))
 
     @property
     def bidegree(self) -> Tuple[int, int]:

@@ -32,13 +32,14 @@ __all__ = [
 class Character(_Value):
     """Sign vector in {+1,-1}^n encoding a one-dimensional module."""
 
-    __slots__ = ("eps",)
+    __slots__ = ()
+    _fields = ("eps",)
 
-    def __init__(self, eps: Sequence[int]) -> None:
+    def __new__(cls, eps: Sequence[int]) -> "Character":
         eps = tuple(int(v) for v in eps)
         if any(v not in (1, -1) for v in eps):
             raise ValueError("character entries must be +-1")
-        object.__setattr__(self, "eps", eps)
+        return tuple.__new__(cls, (eps,))
 
     @property
     def n(self) -> int:

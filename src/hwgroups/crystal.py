@@ -58,9 +58,10 @@ class AffineIsometry(_Value):
     genuine isometry; construction checks the signs and the lengths.
     """
 
-    __slots__ = ("signs", "translation")
+    __slots__ = ()
+    _fields = ("signs", "translation")
 
-    def __init__(self, signs: Sequence[int], translation: Sequence) -> None:
+    def __new__(cls, signs: Sequence[int], translation: Sequence) -> "AffineIsometry":
         signs = tuple(signs)
         if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must each be +1 or -1")
@@ -68,8 +69,7 @@ class AffineIsometry(_Value):
         translation = tuple(Fraction(v) for v in translation)
         if len(signs) != len(translation):
             raise ValueError("signs and translation must have matching length")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "translation", translation)
+        return tuple.__new__(cls, (signs, translation))
 
     @classmethod
     def identity(cls, n: int) -> "AffineIsometry":

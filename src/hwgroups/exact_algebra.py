@@ -33,13 +33,14 @@ class IntPolynomial(_Value):
     tuple and degree -1 (the sentinel).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _fields = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[int] = ()) -> None:
+    def __new__(cls, coeffs: Sequence[int] = ()) -> "IntPolynomial":
         coeffs = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @classmethod
     def x(cls) -> "IntPolynomial":

@@ -8,13 +8,15 @@ which are counted as plain tuples and wrapped as a ``GroupElement``
 once per distinct product, by mapping ``hw_group._element`` over them.
 The tally keeps every count, and the convolution the products counted
 an odd number of times (coefficients live in F_2).  The convolution's
-support comes from two checked elements of one rank, so it is built
-without the per-member rank check of ``RingElement``.
+support comes from two checked elements of one rank, so its result is
+built by ``_ring_element``, a partial of ``tuple.__new__`` as
+``_element`` is, without the per-member rank check of ``RingElement``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Dict, Iterable, List
 
 from . import ElementSyntaxError, _Value
@@ -35,15 +37,15 @@ __all__ = [
 class RingElement(_Value):
     """Element of F_2[G_n]: the set of group elements with coefficient 1."""
 
-    __slots__ = ("n", "support")
+    __slots__ = ()
+    _fields = ("n", "support")
 
-    def __init__(self, n: int, support: Iterable[GroupElement]) -> None:
+    def __new__(cls, n: int, support: Iterable[GroupElement]) -> "RingElement":
         support = frozenset(support)
         for g in support:
             if g.n != n:
                 raise ValueError("support member of wrong rank")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "support", support)
+        return tuple.__new__(cls, (n, support))
 
     def __bool__(self) -> bool:
         return bool(self.support)
@@ -52,13 +54,9 @@ class RingElement(_Value):
         return ring_mul(self, other)
 
 
-def _ring_element(n: int, support: frozenset) -> RingElement:
-    """RingElement(n, support) without the checks, for a frozenset of
-    elements of rank n."""
-    r = object.__new__(RingElement)
-    object.__setattr__(r, "n", n)
-    object.__setattr__(r, "support", support)
-    return r
+# RingElement(n, support) without the checks, from the pair (n, support)
+# of a rank and a frozenset of elements of that rank.
+_ring_element = partial(tuple.__new__, RingElement)
 
 
 def ring_one(n: int) -> RingElement:
@@ -76,8 +74,8 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
     counts = _count_products(a.support, b.support)
-    return _ring_element(a.n, frozenset(
-        map(_element, [pair for pair, count in counts.items() if count & 1])))
+    return _ring_element((a.n, frozenset(
+        map(_element, [pair for pair, count in counts.items() if count & 1]))))
 
 
 def product_tally(

@@ -21,17 +21,20 @@ by x_1, x_2, ... on both sides until the two products differ in word;
 only the elements of a word that passes are tested, on their lattice
 parts.  ``ball`` searches on raw (w, t) pairs.
 
-A ``GroupElement`` is a tuple holding the pair (w, t), so it is built
-and hashed in C.  The unchecked constructor ``_element`` takes such a
-pair, and ``ball``, ``group_ring.product_tally`` and ``ring_mul`` map it
-over their raw results, with no Python frame per element.
+A ``GroupElement`` is a ``_Value`` with the fields (w, t): the pair as
+a tuple, built and hashed in C, whose ``w`` and ``t`` properties,
+equality and repr come from the package root.  The unchecked
+constructor ``_element`` takes such a pair, and ``ball``,
+``group_ring.product_tally`` and ``ring_mul`` map it over their raw
+results, with no Python frame per element.
 
 Importing this module loads no other module of the package: its errors,
-``DEFAULT_BALL_BUDGET`` and ``decimal_text`` come from the package root
-and are re-exported here.  Of the standard library it imports only
-``functools``, ``itertools``, ``operator``, ``re``, ``sys`` and
-``typing``, which ``cli`` has loaded before any command runs (``re``
-loads the first three); no ``dataclasses`` and no ``fractions``.
+``DEFAULT_BALL_BUDGET``, ``decimal_text`` and ``_Value`` come from the
+package root, and all but ``_Value`` are re-exported here.  Of the
+standard library it imports only ``functools``, ``itertools``,
+``operator``, ``re``, ``sys`` and ``typing``, which ``cli`` has loaded
+before any command runs (``re`` loads the first three); no
+``dataclasses`` and no ``fractions``.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ import re
 import sys
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
-               VerificationError, decimal_text)
+               VerificationError, _Value, decimal_text)
 
 __all__ = [
     "GroupElement",
@@ -70,20 +73,16 @@ __all__ = [
 ]
 
 
-class GroupElement(tuple):
+class GroupElement(_Value):
     """Normal form (w, t): reduced word part and lattice exponent vector.
 
-    The pair (w, t) as a tuple, so that building and hashing an element
-    runs no Python frame: hash(g) == hash((w, t)).  It is still a value of
-    its own.  It equals only a GroupElement, never the plain pair, from
-    either side; it has no order (sort with ``element_sort_key``), and
-    ``+`` and ``k * g`` raise TypeError rather than act on the pair.
+    A ``_Value`` with the fields (w, t): w is the reduced word, a tuple
+    of letters 1..n, and t the lattice exponent vector, a tuple of n
+    ints.  It has no order; sort with ``element_sort_key``.
     """
 
     __slots__ = ()
-
-    w = property(itemgetter(0), doc="The reduced word, a tuple of letters 1..n.")
-    t = property(itemgetter(1), doc="The lattice exponent vector, a tuple of n ints.")
+    _fields = ("w", "t")
 
     def __new__(cls, w: Sequence[int], t: Sequence[int]) -> "GroupElement":
         w = tuple(int(i) for i in w)
@@ -97,33 +96,6 @@ class GroupElement(tuple):
                 raise ValueError("word part is not reduced")
             prev = letter
         return tuple.__new__(cls, (w, t))
-
-    # tuple's == and != would see the pair; Python tries a subclass's
-    # reflected method first, so (w, t) == g also comes here.
-    def __eq__(self, other):
-        return other.__class__ is GroupElement and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = tuple.__hash__
-
-    def _unordered(self, other):
-        raise TypeError("GroupElement has no order; sort with element_sort_key")
-
-    def _not_a_sequence(self, other):
-        raise TypeError("GroupElement is not a sequence to concatenate or repeat; "
-                        "g * h is the group product")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
-    __add__ = __radd__ = __rmul__ = _not_a_sequence
-    del _unordered, _not_a_sequence
-
-    def __repr__(self) -> str:
-        return f"GroupElement(w={self[0]!r}, t={self[1]!r})"
-
-    def __reduce__(self):
-        return GroupElement, tuple(self)
 
     @property
     def n(self) -> int:
@@ -415,22 +387,21 @@ def element_sort_key(g: GroupElement):
     return (len(g.w), g.w, g.t)
 
 
-def ball(n: int, r: int, budget: int = DEFAULT_BALL_BUDGET) -> "set[GroupElement]":
+def ball(n: int, r: int) -> "set[GroupElement]":
     """All products of at most r generators x_i^{+-1}, deduplicated.
 
     Breadth-first over append_letter moves, run on raw (w, t) pairs:
     x_i fixes t_i and negates every other coordinate, so t is negated
     once per element, and the word step is taken once for x_i and
     x_i^-1 = x_i tau(-e_i).  Raises BallBudgetError as soon as the
-    visited set would exceed the budget, which counts the identity and
-    so must be at least 1.  This is the one place the run-time bound is
-    set: the probes call ``ball(n, r)`` and so inherit the default.
+    visited set would exceed ``DEFAULT_BALL_BUDGET`` elements, the
+    identity included; the bound is read once per call.  This is the
+    one place the run-time bound is applied: the probes call
+    ``ball(n, r)``, and no caller can lift it.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if budget < 1:
-        raise ValueError("ball budget must be at least 1, since it counts the "
-                         f"identity; got {budget}")
+    budget = DEFAULT_BALL_BUDGET
     zero = (0,) * n
     # The visited set, as the lattice parts seen with each word.
     seen = {(): {zero}}

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
@@ -480,10 +479,8 @@ PROBE_ARGV = {
 
 
 def test_probe_budget_guard_exits_2(monkeypatch):
-    # Each probe's ball is its module's ``ball``; shrink that bound to 10.
-    small = functools.partial(hw_group.ball, budget=10)
-    monkeypatch.setattr(hw_group, "ball", small)
-    monkeypatch.setattr(crystal, "ball", small)
+    # Each probe's ball is ``hw_group.ball``; shrink its bound to 10.
+    monkeypatch.setattr(hw_group, "DEFAULT_BALL_BUDGET", 10)
     for argv in PROBE_ARGV.values():
         assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
                                          "of 10 elements\n"), argv
@@ -673,7 +670,7 @@ def _raise(exc):
 @pytest.mark.parametrize("argv, planted, code, message", [
     (("nf", "--n", "2", "x1 zz"), None, 2, "parse error: bad atom 'zz' (at position 3)"),
     (("probe", "center", "--n", "3", "--radius", "6"),
-     (hw_group, "ball", functools.partial(hw_group.ball, budget=10)), 2,
+     (hw_group, "DEFAULT_BALL_BUDGET", 10), 2,
      "resource guard: ball exceeds budget of 10 elements"),
     (("e3-table", "--n", "3"),
      (cohomology_f2, "e3_dims", _raise(VerificationError("planted"))), 1,

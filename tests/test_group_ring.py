@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hwgroups.group_ring import (
     RingElement,
+    _ring_element,
     parse_set_file,
     product_tally,
     ring_mul,
@@ -163,6 +164,11 @@ def test_tally_and_ring_product_match_the_letter_fold(sets):
     a, b = RingElement(n, xs), RingElement(n, ys)
     counts = Counter(_fold(x, y) for x in a.support for y in b.support)
     assert ring_mul(a, b) == RingElement(n, {g for g, k in counts.items() if k % 2})
+    # the unchecked constructor ring_mul uses agrees with the checked one
+    support = ring_mul(a, b).support
+    trusted, checked = _ring_element((n, support)), RingElement(n, support)
+    assert type(trusted) is type(checked) is RingElement and trusted == checked
+    assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
 
 
 def test_ring_mul_keeps_the_products_hit_an_odd_number_of_times():

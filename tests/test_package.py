@@ -165,14 +165,16 @@ VALUES = [
 @pytest.mark.parametrize("module, name, fields, text", VALUES, ids=[v[1] for v in VALUES])
 def test_value_semantics(module, name, fields, text):
     cls = getattr(importlib.import_module(f"hwgroups.{module}"), name)
+    assert issubclass(cls, hwgroups._Value)
     value = cls(**fields)
     key = tuple(fields.values())
     assert repr(value) == text
     assert value == cls(*key) and hash(value) == hash(cls(*key)) == hash(key)
     assert value != key and key != value
-    # A GroupElement is a tuple subclass, so it must refuse the plain
-    # tuple itself; the others leave that to the tuple.
-    assert value.__eq__(key) is (False if name == "GroupElement" else NotImplemented)
+    # A value is a tuple subclass, so it must refuse the plain tuple
+    # itself: Python tries its reflected __eq__ first, and NotImplemented
+    # there would let tuple.__eq__ answer True.
+    assert value.__eq__(key) is False
     assert not hasattr(value, "__dict__")  # __slots__ only
     for k, v in fields.items():  # each field is the value passed in, of its type
         assert getattr(value, k) == v and type(getattr(value, k)) is type(v)
@@ -182,6 +184,18 @@ def test_value_semantics(module, name, fields, text):
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
                 compare(a, b)
+    # Nor does it concatenate or repeat its fields as a tuple would,
+    # unless its class defines + or k * itself.
+    if cls.__add__ is hwgroups._Value.__add__:
+        for a, b in ((value, value), (value, key), (key, value)):
+            with pytest.raises(TypeError, match="not a sequence"):
+                a + b
+    if cls.__rmul__ is hwgroups._Value.__rmul__:
+        with pytest.raises(TypeError, match="not a sequence"):
+            2 * value
+    if cls.__mul__ is hwgroups._Value.__mul__:
+        with pytest.raises(TypeError, match="not a sequence"):
+            value * 2
     field = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(value, field, fields[field])
@@ -191,6 +205,17 @@ def test_value_semantics(module, name, fields, text):
         assert type(twin) is cls and twin == value and repr(twin) == text
     if name == "IntPolynomial":
         assert cls() == cls(coeffs=()) and repr(cls()) == "IntPolynomial(coeffs=())"
+
+
+def test_no_module_builds_a_value_around_its_constructor():
+    # Every value is built by its class's checked __new__ or by a
+    # partial of tuple.__new__, never field by field on a bare object.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "hwgroups").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert not calls
 
 
 # Each record, the call that returns one, and its field names in order.
