@@ -4,9 +4,10 @@ An element is written uniquely as lift(w) * tau(t): w a reduced word in
 the quotient W_n, lifted letterwise, and tau(t) the lattice element
 prod x_i^(2 t_i) on the RIGHT.  Appending a generator twists the
 lattice vector by the sign action and either extends the word or cancels
-its last letter while emitting a lattice unit.  The public operations
-(multiply, inverse, power, parse_element) are folds of append_letter,
-which stays the reference for everything else.
+its last letter while emitting a lattice unit.  multiply and power are
+folds of append_letter, which stays the reference for everything else.
+parse_element and inverse each take one pass over their input: a letter
+costs O(1), whatever n is, and the result is built once, unchecked.
 
 Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
 lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
@@ -115,6 +116,8 @@ class GroupElement(_Value):
 
 
 def identity(n: int) -> GroupElement:
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     return GroupElement((), (0,) * n)
 
 
@@ -182,14 +185,26 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    """Inverse: fold the reversed word with negative exponents, then
-    absorb the conjugated lattice part."""
-    out = identity(a.n)
-    for letter in reversed(a.w):
-        out = append_letter(out, letter, -1)
-    twisted = word_sign_action(a.w, a.t)
-    t = tuple(u - v for u, v in zip(out.t, twisted))
-    return GroupElement(out.w, t)
+    """Inverse in one pass over the word, O(|w| + n).
+
+    (lift(w) tau(t))^-1 = lift(w)^-1 tau(-sigma_w(t)), and lift(w)^-1 is
+    x_i^-1 over the reversed word, which is reduced.  Each x_i^-1 =
+    x_i tau(-e_i) leaves -e_i, twisted by the letters after it, the j
+    earlier letters of w: the occurrence of i at position j of w (from 0)
+    adds -(-1)^(j - #earlier i's) to c_i, and the lattice part is
+    c - sigma_w(t).  This is the fold of append_letter(., i, -1) over
+    the reversed word, which the tests keep as its oracle.
+    """
+    w, t = a.w, a.t
+    occ = [0] * len(t)
+    c = [0] * len(t)
+    for j, letter in enumerate(w):
+        k = letter - 1
+        c[k] += 1 if (j - occ[k]) % 2 else -1
+        occ[k] += 1
+    m = len(w)
+    return _element((w[::-1], tuple(h - v if (m - o) % 2 == 0 else h + v
+                                    for h, o, v in zip(c, occ, t))))
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
@@ -219,16 +234,24 @@ def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
     The first k letters of v cancel the last k of u, letter by letter;
     then the word only grows, since v is reduced.  The j-th cancelling
     letter i leaves the unit e_i, and each later letter l of v twists it
-    by sign_action(l), which negates it unless l = i.
+    by sign_action(l), which negates it unless l = i.  The parity of i's
+    count among the later letters is walked back from the end of v once,
+    so the cancel loop costs O(m + n) whatever k is, and nothing when
+    k = 0.
     """
     top, m = len(u), len(v)
     k = 0
     while k < top and k < m and u[top - 1 - k] == v[k]:
         k += 1
     c = [0] * n
-    for j in range(k):
-        i = v[j]
-        c[i - 1] += -1 if (m - 1 - j - v[j + 1:].count(i)) % 2 else 1
+    if k:
+        odd = [0] * (n + 1)  # odd[i]: parity of i's count in v[j + 1:]
+        for i in v[k:]:
+            odd[i] ^= 1
+        for j in range(k - 1, -1, -1):
+            i = v[j]
+            c[i - 1] += -1 if (m - 1 - j - odd[i]) % 2 else 1
+            odd[i] ^= 1
     return u[:top - k] + v[k:], tuple(c)
 
 
@@ -279,8 +302,18 @@ def parse_element(s: str, n: int) -> GroupElement:
     the character offset of the offending atom.  An atom costs the same
     whatever its exponent: x_i^e = x_i^(e mod 2) tau(floor(e/2) e_i),
     because x_i fixes its own lattice coordinate.
+
+    One pass, O(|s| + n): the word grows or cancels on a list, and the
+    lattice part is kept as t = sign * u.  Appending x_i fixes t_i and
+    negates every other coordinate, which is sign = -sign and u_i = -u_i,
+    and a lattice step d on t_i adds sign * d to u_i.  This is the fold
+    of append_letter over the letters, which the tests keep as its oracle.
     """
-    out = identity(n)
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    w: List[int] = []
+    u = [0] * n
+    sign = 1
     for match in re.finditer(r"\S+", s):
         atom = match.group(0)
         pos = match.start()
@@ -300,13 +333,18 @@ def parse_element(s: str, n: int) -> GroupElement:
         if exp == 0:
             raise ElementSyntaxError("exponent must be nonzero", pos)
         half, odd = divmod(exp, 2)
+        k = index - 1
         if odd:
-            out = append_letter(out, index)
+            sign = -sign
+            u[k] = -u[k]
+            if w and w[-1] == index:  # x_i x_i = tau(e_i)
+                w.pop()
+                half += 1
+            else:
+                w.append(index)
         if half:
-            t = list(out.t)
-            t[index - 1] += half
-            out = GroupElement(out.w, tuple(t))
-    return out
+            u[k] += half if sign > 0 else -half
+    return _element((tuple(w), tuple(u) if sign > 0 else tuple(-v for v in u)))
 
 
 def format_element(g: GroupElement) -> str:
@@ -399,6 +437,8 @@ def ball(n: int, r: int) -> "set[GroupElement]":
     one place the run-time bound is applied: the probes call
     ``ball(n, r)``, and no caller can lift it.
     """
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     budget = DEFAULT_BALL_BUDGET

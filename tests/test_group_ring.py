@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -191,6 +192,20 @@ def test_unique_product_witnesses():
     assert set(unique_product_witnesses({e}, y)) == y
     with pytest.raises(ValueError):
         product_tally(set(), {e})
+
+
+def test_a_full_cancel_is_linear_in_the_word():
+    # g * g^-1 cancels all 20,000 letters in the word kernel.
+    rng = random.Random(29)
+    word = [1]
+    while len(word) < 20000:
+        word.append(rng.choice([i for i in (1, 2, 3) if i != word[-1]]))
+    g = GroupElement(word, (5, -7, 2**70))
+    h = inverse(g)
+    start = time.perf_counter()
+    witnesses = unique_product_witnesses([g], [h])
+    assert time.perf_counter() - start < 1.0
+    assert witnesses == [identity(3)]
 
 
 def test_witness_translation_invariance():

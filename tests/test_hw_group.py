@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,11 +141,21 @@ def test_parse_errors_carry_positions():
 
 
 def _parse_by_letters(atoms, n):
-    # Reference: one append_letter per unit of each exponent.
+    # Reference: one append_letter per unit of each exponent up to 9; a
+    # larger one as x_i^(e mod 2) then tau(floor(e/2) e_i), the closed
+    # form that the next two tests pin.
     out = identity(n)
     for i, e in atoms:
-        for _ in range(abs(e)):
-            out = append_letter(out, i, 1 if e > 0 else -1)
+        if abs(e) <= 9:
+            for _ in range(abs(e)):
+                out = append_letter(out, i, 1 if e > 0 else -1)
+            continue
+        half, odd = divmod(e, 2)
+        if odd:
+            out = append_letter(out, i)
+        t = list(out.t)
+        t[i - 1] += half
+        out = GroupElement(out.w, t)
     return out
 
 
@@ -163,6 +174,104 @@ def test_parse_huge_exponent_in_closed_form():
     assert parse_element(f"x1^{10**8}", 2) == GroupElement((), (50000000, 0))
     g = parse_element(f"x2^{-(10**8) - 1}", 2)
     assert g == GroupElement((2,), (0, -50000001))
+
+
+def _inverse_by_fold(a):
+    # Reference: fold the reversed word with negative exponents, then
+    # absorb the conjugated lattice part.
+    out = identity(a.n)
+    for letter in reversed(a.w):
+        out = append_letter(out, letter, -1)
+    twisted = word_sign_action(a.w, a.t)
+    return GroupElement(out.w, [u - v for u, v in zip(out.t, twisted)])
+
+
+_RANKS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 40])
+_EXPONENTS = st.one_of(st.sampled_from([1, -1]),
+                       st.integers(-9, 9).filter(bool),
+                       st.sampled_from([10**30 + 1, -(10**30), 2**70, -(2**70) - 1]))
+
+
+@st.composite
+def _atom_text(draw):
+    """(n, atoms, text): atoms as (index, exponent), with a tail that
+    cancels them all, a mirror image, or neither."""
+    n = draw(_RANKS)
+    atoms = draw(st.lists(st.tuples(st.integers(1, n), _EXPONENTS), max_size=24))
+    shape = draw(st.sampled_from(["plain", "cancel", "palindrome"]))
+    if shape == "cancel":
+        atoms += [(i, -e) for i, e in reversed(atoms)]
+    elif shape == "palindrome":
+        atoms += atoms[::-1]
+    gap = draw(st.sampled_from([" ", "  ", "\t", " \n "]))
+    text = gap.join(f"x{i}" if e == 1 and draw(st.booleans()) else f"x{i}^{e}"
+                    for i, e in atoms)
+    return n, atoms, shape, text
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_atom_text())
+def test_parse_matches_the_append_letter_fold(case):
+    n, atoms, shape, text = case
+    g = parse_element(text, n)
+    assert g == _parse_by_letters(atoms, n)
+    assert type(g) is GroupElement and all(type(v) is int for v in g.t)
+    if shape == "cancel":
+        assert g == identity(n)
+
+
+@st.composite
+def _elements(draw):
+    """Elements of rank n in 1..8 or 40: random, palindromic or long
+    reduced words, lattice entries small or past 2^70."""
+    n = draw(_RANKS)
+    word = []
+    for letter in draw(st.lists(st.integers(1, n), max_size=40)):
+        if word and word[-1] == letter:
+            word.pop()
+        else:
+            word.append(letter)
+    if draw(st.booleans()):
+        word += word[-2::-1]
+    return GroupElement(word, [draw(_ENTRIES) for _ in range(n)])
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_elements())
+def test_inverse_matches_the_append_letter_fold(g):
+    h = inverse(g)
+    assert h == _inverse_by_fold(g)
+    assert multiply(g, h) == identity(g.n) == multiply(h, g)
+    assert inverse(h) == g
+
+
+def _long_atoms(n, count, seed):
+    rng = random.Random(seed)
+    return " ".join(f"x{rng.randint(1, n)}^{rng.choice((1, -1, 3, -3, 10**6 + 1))}"
+                    for _ in range(count))
+
+
+@pytest.mark.parametrize("n", [3, 2000])
+def test_parse_and_inverse_are_linear_in_the_word(n):
+    # 20,000 atoms of odd exponent: at n = 2000 an O(n) sign update per
+    # letter makes 4 * 10^7 negations.
+    text = _long_atoms(n, 20000, n)
+    start = time.perf_counter()
+    g = parse_element(text, n)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    h = inverse(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(g.w) > 1000 and h.w == g.w[::-1]
+
+
+def test_negative_rank_is_refused():
+    for call in (lambda: identity(-2), lambda: parse_element("", -3),
+                 lambda: parse_element("x1", -1), lambda: ball(-1, 2)):
+        with pytest.raises(ValueError, match="^rank must be nonnegative$"):
+            call()
+    assert identity(0) == parse_element("", 0) == GroupElement((), ())
+    assert ball(0, 2) == {identity(0)}
 
 
 def test_element_validation():
