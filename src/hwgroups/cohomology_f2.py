@@ -70,10 +70,6 @@ def _positions(n: int) -> Tuple[List[List[int]], List[int]]:
     return by_size, pos
 
 
-def _mask_to_set(mask: int) -> FrozenSet[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _g_str(mask: int) -> str:
     return "*".join(f"g{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -231,17 +227,6 @@ if TYPE_CHECKING:  # typing's cache would keep the class and its module alive
     Combination = FrozenSet[EnBasisElement]
 
 
-def _pairs(n: int) -> Iterator[Tuple[int, List[Tuple[int, int]]]]:
-    """Yield (q, pairs) for q = 0 .. n: the pairs (i, mask) with |mask| = q
-    and i not in mask, i first, then masks ascending."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    by_size = _positions(n)[0]
-    for q in range(n + 1):
-        yield q, [(i, mask) for i in range(1, n + 1)
-                  for mask in by_size[q] if not mask >> (i - 1) & 1]
-
-
 def _represents(i: int, mask: int) -> bool:
     """z_i^2 g_mask is a grade-2 representative: i < max(mask)."""
     return mask >> i != 0
@@ -249,9 +234,15 @@ def _represents(i: int, mask: int) -> bool:
 
 def en_basis(n: int) -> List[EnBasisElement]:
     """The unit, every symbol z_i g_A, then the grade-2 representatives."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    by_size = _positions(n)[0]
     grade1: List[EnBasisElement] = []
     grade2: List[EnBasisElement] = []
-    for _, pairs in _pairs(n):
+    for q in range(n + 1):
+        # i first, then masks ascending: the order of the basis
+        pairs = [(i, mask) for i in range(1, n + 1)
+                 for mask in by_size[q] if not mask >> (i - 1) & 1]
         grade1 += [EnBasisElement(1, i, mask) for i, mask in pairs]
         grade2 += [EnBasisElement(2, i, mask) for i, mask in pairs if _represents(i, mask)]
     return [EnBasisElement(0, 0, 0)] + grade1 + grade2
@@ -297,8 +288,8 @@ def reduce_grade2(n: int, i: int, mask: int) -> Combination:
     if _represents(i, mask):
         return own
     full = mask | 1 << (i - 1)
-    return frozenset(EnBasisElement(2, j, full ^ 1 << (j - 1))
-                     for j in _mask_to_set(mask))
+    return frozenset(EnBasisElement(2, j + 1, full ^ 1 << j)
+                     for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def en_multiply(

@@ -5,9 +5,9 @@ freeness/injectivity probes.
 
 Every isometry built here has a diagonal linear part with entries +-1:
 the holonomy of A and B is diagonal, and so are the gamma_n generators
-and the letters of the coordinate action.  An isometry is therefore
-stored as a sign vector and a translation, and composition, inversion,
-evaluation and fixed-point solving are all coordinatewise.
+and the coordinate action.  An isometry is therefore stored as a sign
+vector and a translation, and composition, inversion, evaluation and
+fixed-point solving are all coordinatewise.
 
 G_2 maps onto the classical three-dimensional group via x1 -> A,
 x2 -> B; the squares A^2, B^2 are the unit translations e_1, e_2, so
@@ -16,7 +16,9 @@ composed with the translation (t_1, t_2, 0).  That model is where the
 fixed-point and injectivity probes run: the image group is Bieberbach,
 hence acts freely; the separate coordinate action on R^n (half-step on
 the own axis, negation elsewhere) is faithful only on the one-letter
-subgroups and is exposed as rn_action.
+subgroups and is exposed as rn_action.  It is read off the normal form
+in one pass, from hw_group's word_sign_action and inverse, with no
+isometry composed per letter.
 
 The probes compose the letters once per distinct word, in Fractions,
 and then work on integers: every translation of the model lies in
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import VerificationError, _Value
-from .hw_group import GroupElement, ball, element_sort_key
+from .hw_group import GroupElement, ball, element_sort_key, inverse, word_sign_action
 
 __all__ = [
     "AffineIsometry",
@@ -228,15 +230,18 @@ def _fixes_a_point(signs: Sequence[int], doubled: Sequence[int]) -> bool:
 
 def rn_isometry(g: GroupElement) -> AffineIsometry:
     """The coordinate action on R^n: letter i shifts its own axis by 1/2
-    and negates every other coordinate; the lattice translates by t."""
-    n = g.n
-    half = Fraction(1, 2)
-    out = AffineIsometry.identity(n)
-    for letter in g.w:
-        signs = tuple(1 if k == letter - 1 else -1 for k in range(n))
-        shift = tuple(half if k == letter - 1 else Fraction(0) for k in range(n))
-        out = out @ AffineIsometry(signs, shift)
-    return out @ AffineIsometry.translation_by(g.t)
+    and negates every other coordinate; the lattice translates by t.
+
+    Read off the normal form in O(|w| + n): lift(w) tau(t) is (S, S t - c/2),
+    with S the sign action of w and c the lattice part of lift(w)^-1.  The
+    letters before the occurrence of i at position j (from 0) turn its
+    half-step into (1/2)(-1)^(j - #earlier i's), which is -1/2 of what
+    ``inverse`` adds to c_i.
+    """
+    signs = word_sign_action(g.w, (1,) * g.n)
+    c = inverse(GroupElement(g.w, (0,) * g.n)).t
+    return AffineIsometry(signs, [s * t - Fraction(h, 2)
+                                  for s, t, h in zip(signs, g.t, c)])
 
 
 def rn_action(g: GroupElement, v: Sequence) -> Tuple[Fraction, ...]:

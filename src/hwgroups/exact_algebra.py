@@ -37,10 +37,11 @@ class IntPolynomial(_Value):
     _fields = ("coeffs",)
 
     def __new__(cls, coeffs: Sequence[int] = ()) -> "IntPolynomial":
-        coeffs = tuple(int(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        return tuple.__new__(cls, (coeffs,))
+        coeffs = tuple(map(int, coeffs))
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        return tuple.__new__(cls, (coeffs[:end],))
 
     @classmethod
     def x(cls) -> "IntPolynomial":

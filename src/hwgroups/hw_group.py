@@ -2,12 +2,15 @@
 
 An element is written uniquely as lift(w) * tau(t): w a reduced word in
 the quotient W_n, lifted letterwise, and tau(t) the lattice element
-prod x_i^(2 t_i) on the RIGHT.  Appending a generator twists the
-lattice vector by the sign action and either extends the word or cancels
-its last letter while emitting a lattice unit.  multiply and power are
-folds of append_letter, which stays the reference for everything else.
-parse_element and inverse each take one pass over their input: a letter
-costs O(1), whatever n is, and the result is built once, unchecked.
+prod x_i^(2 t_i) on the RIGHT.  x_i fixes t_i and negates every other
+coordinate, as the relators x_i^-1 x_j^2 x_i x_j^2 say; appending x_i
+applies that sign rule and either extends the word or cancels its last
+letter while emitting a lattice unit.  multiply and power are folds of
+append_letter, the reference for everything else.  parse_element and
+inverse each take one pass: a letter costs O(1), whatever n is, and the
+result is built once, unchecked.  word_sign_action is the one sign
+action of a word, and crystal reads its coordinate action off it and
+inverse.
 
 Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
 lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
@@ -54,7 +57,6 @@ __all__ = [
     "GroupElement",
     "identity",
     "generator",
-    "sign_action",
     "word_sign_action",
     "append_letter",
     "multiply",
@@ -127,18 +129,6 @@ def generator(n: int, i: int) -> GroupElement:
     return GroupElement((i,), (0,) * n)
 
 
-def sign_action(i: int, t: Sequence[int]) -> Tuple[int, ...]:
-    """Conjugation action of generator i on the lattice.
-
-    Coordinate i is fixed and every other coordinate is negated; this is
-    exactly what the defining relators force on the squares x_j^2.
-    """
-    n = len(t)
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    return tuple(v if k == i - 1 else -v for k, v in enumerate(t))
-
-
 def word_sign_action(w: Sequence[int], t: Sequence[int]) -> Tuple[int, ...]:
     """Composite sign action of a word; coordinate j flips once per letter != j."""
     length = len(w)
@@ -151,17 +141,18 @@ def word_sign_action(w: Sequence[int], t: Sequence[int]) -> Tuple[int, ...]:
 def append_letter(g: GroupElement, i: int, exp: int = 1) -> GroupElement:
     """Canonical form of g * x_i^exp for exp in {+1, -1}.
 
-    Pushing x_i through the lattice factor twists t by sign_action(i).
-    If the word then ends in i the two letters merge into the lattice
-    unit e_i; otherwise the word grows.  x_i^-1 = x_i * tau(-e_i), so the
-    inverse case just subtracts e_i afterwards.
+    Pushing x_i through the lattice factor fixes t_i and negates every
+    other coordinate.  If the word then ends in i the two letters merge
+    into the lattice unit e_i; otherwise the word grows.  x_i^-1 =
+    x_i * tau(-e_i), so the inverse case just subtracts e_i afterwards.
     """
     n = g.n
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for rank {n}")
     if exp not in (1, -1):
         raise ValueError("exp must be +1 or -1")
-    t = list(sign_action(i, g.t))
+    t = [-v for v in g.t]
+    t[i - 1] = -t[i - 1]
     w = g.w
     if w and w[-1] == i:
         w = w[:-1]
@@ -233,8 +224,8 @@ def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
 
     The first k letters of v cancel the last k of u, letter by letter;
     then the word only grows, since v is reduced.  The j-th cancelling
-    letter i leaves the unit e_i, and each later letter l of v twists it
-    by sign_action(l), which negates it unless l = i.  The parity of i's
+    letter i leaves the unit e_i, and each later letter l of v negates
+    it unless l = i, by the sign rule of x_l.  The parity of i's
     count among the later letters is walked back from the end of v once,
     so the cancel loop costs O(m + n) whatever k is, and nothing when
     k = 0.
@@ -515,7 +506,7 @@ def _commutes_with(w: Tuple[int, ...], i: int, n: int):
     (w1, c1), (w2, c2) = _mul_words(w, (i,), n), _mul_words((i,), w, n)
     if w1 != w2:
         return None
-    signs = sign_action(i, (1,) * n)
+    signs = word_sign_action((i,), (1,) * n)
     return lambda t: all(a + e * v == b + v for a, e, b, v in zip(c1, signs, c2, t))
 
 

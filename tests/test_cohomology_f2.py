@@ -211,6 +211,8 @@ def test_en_basis_sizes():
         basis = en_basis(n)
         grade1 = [e for e in basis if e.grade == 1]
         assert len(grade1) == n * 2 ** (n - 1)
+    with pytest.raises(ValueError, match="^rank must be nonnegative$"):
+        en_basis(-1)
 
 
 def test_en_relations_kill_squares_and_split_products():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwgroups import VerificationError, crystal
 from hwgroups.crystal import (
@@ -211,17 +213,69 @@ def _rn_point_evaluation(g, v):
     return tuple(point)
 
 
-def test_rn_isometry_matches_letterwise_point_evaluation():
-    rng = random.Random(89)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        w = []
-        for _ in range(rng.randint(0, 300) if n > 1 else rng.randint(0, 1)):
-            w.append(rng.choice([i for i in range(1, n + 1) if w[-1:] != [i]]))
-        g = GroupElement(tuple(w), tuple(rng.randrange(-5, 6) for _ in range(n)))
-        v = _frac([Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
-                   for _ in range(n)])
-        assert rn_isometry(g).apply(v) == _rn_point_evaluation(g, v)
+_ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([2**70 + 1, -(2**71) - 5]),
+                     st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _element_and_point(draw):
+    """(g, v): g of rank n in 1..8 or 40 with a reduced word of up to a
+    few hundred letters, lattice entries small or past 2^70, and v a
+    rational point."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 40]))
+    rng = draw(st.randoms(use_true_random=False))
+    word = []
+    for _ in range(draw(st.integers(0, 300))):
+        letter = rng.randint(1, n)
+        if word[-1:] != [letter]:
+            word.append(letter)
+    if draw(st.booleans()):
+        word += word[-2::-1]
+    g = GroupElement(word, [draw(_ENTRIES) for _ in range(n)])
+    v = tuple(Fraction(draw(_ENTRIES), draw(st.integers(1, 2**40))) for _ in range(n))
+    return g, v
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_element_and_point())
+def test_rn_isometry_matches_letterwise_point_evaluation(case):
+    g, v = case
+    iso = rn_isometry(g)
+    assert iso.apply(v) == _rn_point_evaluation(g, v)
+    assert iso.signs == tuple(1 if (len(g.w) - g.w.count(k)) % 2 == 0 else -1
+                              for k in range(1, g.n + 1))
+
+
+def test_rn_isometry_builds_one_isometry(monkeypatch):
+    built = []
+
+    class Counted(AffineIsometry):
+        __slots__ = ()
+
+        def __new__(cls, signs, translation):
+            built.append(1)
+            return AffineIsometry.__new__(cls, signs, translation)
+
+    monkeypatch.setattr(crystal, "AffineIsometry", Counted)
+    for g in (identity(3), generator(3, 2), parse_element("x1 x2 x3 x1 x3^-1 x2^5", 3)):
+        built.clear()
+        assert type(rn_isometry(g)) is Counted and len(built) == 1
+
+
+def test_rn_action_is_linear_in_the_word_and_the_rank():
+    # 5,000 letters at n = 200: one isometry per letter took about 6 s.
+    rng = random.Random(31)
+    word = [1]
+    while len(word) < 5000:
+        letter = rng.randint(1, 200)
+        if letter != word[-1]:
+            word.append(letter)
+    g = GroupElement(word, [rng.randrange(-10**20, 10**20) for _ in range(200)])
+    v = [Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 50)) for _ in range(200)]
+    start = time.perf_counter()
+    image = rn_action(g, v)
+    assert time.perf_counter() - start < 0.5
+    assert rn_action(inverse(g), image) == tuple(v)
 
 
 def test_fixed_point_probe_matrix_model():

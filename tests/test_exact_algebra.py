@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,15 @@ def test_polynomial_canonical_form():
     assert IntPolynomial((0,)).degree == -1
     assert IntPolynomial((0, 0, 3)).degree == 2
     assert IntPolynomial.x().coeffs == (0, 1)
+
+
+def test_trailing_zeros_are_stripped_in_linear_time():
+    # one slice per trailing zero would copy 5 * 10^9 coefficients here
+    start = time.perf_counter()
+    p = IntPolynomial((1,) + (0,) * 10**5)
+    assert time.perf_counter() - start < 0.5
+    assert p == IntPolynomial((1,)) and p.coeffs == (1,)
+    assert IntPolynomial([0] * 10**5).coeffs == ()
 
 
 def test_polynomial_arithmetic():

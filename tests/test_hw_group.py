@@ -27,7 +27,6 @@ from hwgroups.hw_group import (
     power,
     products,
     project_w,
-    sign_action,
     torsion_probe,
     word_sign_action,
 )
@@ -51,8 +50,8 @@ def test_identity_and_generator_shapes():
 
 
 def test_sign_action_fixes_own_coordinate():
-    assert sign_action(1, (3, 4, 5)) == (3, -4, -5)
-    assert sign_action(2, (3, 4, 5)) == (-3, 4, -5)
+    assert word_sign_action((1,), (3, 4, 5)) == (3, -4, -5)
+    assert word_sign_action((2,), (3, 4, 5)) == (-3, 4, -5)
     assert word_sign_action((1, 2), (3, 4, 5)) == (-3, -4, 5)
     assert word_sign_action((), (3, 4)) == (3, 4)
 
