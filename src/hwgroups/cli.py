@@ -13,8 +13,8 @@ reports them as ``verification failed``, ``parse error`` or
 Before a command with ``--n`` runs, ``main`` refuses a request whose
 output is too long or whose enumeration exceeds ``DEFAULT_BALL_BUDGET``
 (``--unsafe-large`` lifts this on ``poincare`` only); ``up-check`` also
-refuses, once it has read its two sets, when it would form more
-products than that bound, and a probe's ball refuses at run time once
+refuses a set file of more element lines, before it parses either, and
+two sets with more products; a probe's ball refuses at run time once
 it holds more elements than that bound.
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found, a failed run-time
@@ -262,13 +262,15 @@ def cmd_up_check(args: argparse.Namespace) -> Result:
 
     from . import group_ring, hw_group
 
+    names = (args.x_file, args.y_file)
     try:
-        x_text = Path(args.x_file).read_text(encoding="utf-8")
-        y_text = Path(args.y_file).read_text(encoding="utf-8")
+        texts = [Path(name).read_text(encoding="utf-8") for name in names]
     except OSError as exc:
         raise ValueError(f"cannot read set file: {exc}") from None
-    x_set = group_ring.parse_set_file(x_text, args.n)
-    y_set = group_ring.parse_set_file(y_text, args.n)
+    for name, text in zip(names, texts):
+        if (count := group_ring.count_element_lines(text)) > DEFAULT_BALL_BUDGET:
+            raise _over_bound(args.n, "up-check", f"{count} element lines in {name}")
+    x_set, y_set = (group_ring.parse_set_file(text, args.n) for text in texts)
     if not x_set or not y_set:
         raise ValueError("set files must contain at least one element each")
     count = len(x_set) * len(y_set)

@@ -20,21 +20,21 @@ subgroups and is exposed as rn_action.  It is read off the normal form
 in one pass, from hw_group's word_sign_action and inverse, with no
 isometry composed per letter.
 
-The probes compose the letters once per distinct word, in Fractions,
-and then work on integers: every translation of the model lies in
-(1/2)Z, so an element's image is its sign vector and its doubled
-translation.  The injectivity probe keys on that pair, and the
-fixed-point probe tests it directly; only a finding is turned into a
-rational point, by fixed_points.
+The probes read the ball word by word from hw_group's ``_ball_words``,
+in canonical order, and compose each word's letters once, in Fractions;
+then they work on integers: every translation of the model lies in
+(1/2)Z, so an image is a sign vector and a doubled translation.  The
+injectivity probe keys on that pair, and the fixed-point probe tests it
+directly; only a finding is built as an element and a rational point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import VerificationError, _Value
-from .hw_group import GroupElement, ball, element_sort_key, inverse, word_sign_action
+from .hw_group import GroupElement, _ball_words, _element, inverse, word_sign_action
 
 __all__ = [
     "AffineIsometry",
@@ -198,28 +198,23 @@ def g2_isometry(g: GroupElement) -> AffineIsometry:
     return out @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
 
 
-def _g2_doubled(elements: Iterable[GroupElement]) -> Iterator[tuple]:
-    """Each element with the signs and the doubled translation of its
-    g2_isometry, as integers.
+def _g2_ball(r: int) -> Iterator[tuple]:
+    """The rank-2 ball of radius r in canonical order: each raw (w, t) with
+    the signs and the doubled translation of its g2_isometry, as integers.
 
-    The letter product of each distinct word is composed once in
-    Fractions; lift(w) tau(t) then maps to (S, a + S (t_1, t_2, 0)), whose
-    doubled translation is 2a + 2 S (t_1, t_2, 0).  Raises
+    Each word's letter product (S, a) is composed once, in Fractions;
+    lift(w) tau(t) then maps to (S, a + S (t_1, t_2, 0)).  Raises
     VerificationError if a letter product leaves the half-integers.
     """
-    words: Dict[Tuple[int, ...], tuple] = {}
-    for g in elements:
-        head = words.get(g.w)
-        if head is None:
-            iso = g2_isometry(GroupElement(g.w, (0, 0)))
-            doubled = [2 * v for v in iso.translation]
-            if any(v.denominator != 1 for v in doubled):
-                raise VerificationError(
-                    f"the letter product of word {g.w} translates off (1/2)Z")
-            head = words[g.w] = (iso.signs, tuple(int(v) for v in doubled))
-        signs, (a1, a2, a3) = head
-        t1, t2 = g.t
-        yield g, signs, (a1 + 2 * signs[0] * t1, a2 + 2 * signs[1] * t2, a3)
+    words = _ball_words(2, r)
+    for w in sorted(words, key=lambda w: (len(w), w)):
+        iso = g2_isometry(GroupElement(w, (0, 0)))
+        doubled = [2 * v for v in iso.translation]
+        if any(v.denominator != 1 for v in doubled):
+            raise VerificationError(f"the letter product of word {w} translates off (1/2)Z")
+        (a1, a2, a3), (s1, s2, _) = map(int, doubled), iso.signs
+        for t in sorted(words[w]):
+            yield (w, t), iso.signs, (a1 + 2 * s1 * t[0], a2 + 2 * s2 * t[1], a3)
 
 
 def _fixes_a_point(signs: Sequence[int], doubled: Sequence[int]) -> bool:
@@ -283,8 +278,9 @@ def fixed_point_probe(n: int, r: int) -> List[Tuple[GroupElement, Tuple[Fraction
     if r < 1:
         raise ValueError("radius must be at least 1")
     found = []
-    for g, signs, doubled in _g2_doubled(sorted(ball(n, r), key=element_sort_key)):
-        if _fixes_a_point(signs, doubled) and not g.is_identity():
+    for wt, signs, doubled in _g2_ball(r):
+        if _fixes_a_point(signs, doubled) and wt != ((), (0, 0)):
+            g = _element(wt)
             point = fixed_points(g2_isometry(g))
             if point is None:
                 raise VerificationError(
@@ -296,18 +292,15 @@ def fixed_point_probe(n: int, r: int) -> List[Tuple[GroupElement, Tuple[Fraction
 def injectivity_probe(r: int) -> List[Tuple[GroupElement, GroupElement]]:
     """Collisions of the normal-form evaluation map on the rank-2 ball.
 
-    Returns pairs of distinct ball elements with equal isometry images;
-    expected empty at every radius.
+    Returns pairs (the first ball element with an image, a later one with
+    the same image) in canonical order; expected empty at every radius.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
-    images: Dict[tuple, GroupElement] = {}
+    images: Dict[tuple, tuple] = {}
     collisions: List[Tuple[GroupElement, GroupElement]] = []
-    for g, signs, doubled in _g2_doubled(sorted(ball(2, r), key=element_sort_key)):
-        key = (signs, doubled)
-        other = images.get(key)
-        if other is None:
-            images[key] = g
-        else:
-            collisions.append((other, g))
+    for wt, signs, doubled in _g2_ball(r):
+        other = images.setdefault((signs, doubled), wt)
+        if other is not wt:
+            collisions.append((_element(other), _element(wt)))
     return collisions

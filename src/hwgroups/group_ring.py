@@ -15,6 +15,7 @@ built by ``_ring_element``, a partial of ``tuple.__new__`` as
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import partial
 from typing import Dict, Iterable, List
@@ -31,6 +32,7 @@ __all__ = [
     "unique_products",
     "unique_product_witnesses",
     "parse_set_file",
+    "count_element_lines",
 ]
 
 
@@ -123,3 +125,12 @@ def parse_set_file(text: str, n: int) -> List[GroupElement]:
             raise ElementSyntaxError(
                 f"line {lineno}: {exc.message}", exc.position) from None
     return sorted(seen, key=element_sort_key)
+
+
+# A break of str.splitlines, then whitespace up to a first character not "#".
+_ELEMENT_LINE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]\\s*[^\\s#]")
+
+
+def count_element_lines(text: str) -> int:
+    """The number of lines ``parse_set_file`` parses, in one scan."""
+    return sum(1 for _ in _ELEMENT_LINE.finditer("\n" + text))

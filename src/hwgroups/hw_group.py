@@ -19,11 +19,11 @@ word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
 ``products`` of two sets calls it once per distinct word pair (u, v) and
 yields raw (w, t) pairs, which ``group_ring`` counts as tuples and wraps
 once per distinct product.
-The probes group a ball by word: ``torsion_probe`` squares each
-distinct word once, and ``center_probe`` multiplies each distinct word
-by x_1, x_2, ... on both sides until the two products differ in word;
-only the elements of a word that passes are tested, on their lattice
-parts.  ``ball`` searches on raw (w, t) pairs.
+``_ball_words`` searches the Cayley ball into {word: lattice parts},
+which ``ball`` wraps and the probes read by word: ``torsion_probe``
+squares each word once, and ``center_probe`` multiplies it by x_1, x_2,
+... on both sides until the two products differ in word.  Only a passing
+word's lattice parts are tested, and only a finding is built.
 
 A ``GroupElement`` is a ``_Value`` with the fields (w, t): the pair as
 a tuple, built and hashed in C, whose ``w`` and ``t`` properties,
@@ -103,9 +103,6 @@ class GroupElement(_Value):
     @property
     def n(self) -> int:
         return len(self.t)
-
-    def is_identity(self) -> bool:
-        return not self.w and not any(self.t)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -416,17 +413,17 @@ def element_sort_key(g: GroupElement):
     return (len(g.w), g.w, g.t)
 
 
-def ball(n: int, r: int) -> "set[GroupElement]":
-    """All products of at most r generators x_i^{+-1}, deduplicated.
+def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
+    """The ball of radius r as {word: set of its lattice parts}, the
+    empty word's set holding the identity's zero vector.
 
     Breadth-first over append_letter moves, run on raw (w, t) pairs:
     x_i fixes t_i and negates every other coordinate, so t is negated
     once per element, and the word step is taken once for x_i and
     x_i^-1 = x_i tau(-e_i).  Raises BallBudgetError as soon as the
     visited set would exceed ``DEFAULT_BALL_BUDGET`` elements, the
-    identity included; the bound is read once per call.  This is the
-    one place the run-time bound is applied: the probes call
-    ``ball(n, r)``, and no caller can lift it.
+    identity included; the bound is read once per call.  This is the one
+    place the run-time bound is applied: ``ball`` and the probes read it.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
@@ -434,7 +431,6 @@ def ball(n: int, r: int) -> "set[GroupElement]":
         raise ValueError("radius must be nonnegative")
     budget = DEFAULT_BALL_BUDGET
     zero = (0,) * n
-    # The visited set, as the lattice parts seen with each word.
     seen = {(): {zero}}
     size = 1
     frontier = [((), zero)]
@@ -463,22 +459,18 @@ def ball(n: int, r: int) -> "set[GroupElement]":
                         next_frontier.append((word, h))
                 twisted[i - 1] = -t[i - 1]
         frontier = next_frontier
-    # Wrap each element once, freeing each word's lattices as it goes.
-    del frontier
+    return seen
+
+
+def ball(n: int, r: int) -> "set[GroupElement]":
+    """All products of at most r generators x_i^{+-1}: ``_ball_words(n, r)``
+    with each element wrapped once, freeing each word's lattices as it goes."""
+    seen = _ball_words(n, r)
     out = set()
     while seen:
         w, lattices = seen.popitem()
         out.update(map(_element, zip(repeat(w), lattices)))
     return out
-
-
-def _by_word(elements: Iterable[GroupElement]) -> dict:
-    """The nontrivial elements grouped by word."""
-    groups: dict = {}
-    for g in elements:
-        if g.w or any(g.t):
-            groups.setdefault(g.w, []).append(g)
-    return groups
 
 
 def _squares_to_identity(w: Tuple[int, ...], n: int):
@@ -522,19 +514,18 @@ def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     powers are tau(m v), and the odd powers keep the word w, or are
     tau(k t) when w is empty.  So the order of a torsion element is 2,
     whatever kmax is.  Each distinct word is squared once by the word
-    kernel; only the elements of a word with w^2 = 1 in W_n are then
-    tested, by one signed vector sum each.
+    kernel; only the lattice parts of a word with w^2 = 1 in W_n are
+    then tested, by one signed vector sum each.
     """
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
-    elements = ball(n, r)
+    words = _ball_words(n, r)
     if kmax < 2:
         return []
-    found = []
-    for w, group in _by_word(elements).items():
-        squares_to_e = _squares_to_identity(w, n)
-        if squares_to_e is not None:
-            found.extend((g, 2) for g in group if squares_to_e(g.t))
+    words[()].remove((0,) * n)  # the identity is no finding
+    found = [(_element((w, t)), 2) for w, lattices in words.items()
+             if lattices and (squares_to_e := _squares_to_identity(w, n))
+             for t in lattices if squares_to_e(t)]
     found.sort(key=lambda pair: element_sort_key(pair[0]))
     return found
 
@@ -545,23 +536,25 @@ def center_probe(n: int, r: int) -> List[GroupElement]:
     Expected empty: the center is trivial for n >= 2.  Each distinct
     word walks the generators in order through the word kernel and stops
     at the first x_i whose two products with lift(w) have different
-    words: no element with that word is central.  Only the elements of a
-    word that passes every generator are tested, by one vector
+    words: no element with that word is central.  Only the lattice parts
+    of a word that passes every generator are tested, by one vector
     comparison per generator.
     """
     if n < 2:
         raise ValueError("center probe needs n >= 2")
     if r < 1:
         raise ValueError("radius must be at least 1")
+    words = _ball_words(n, r)
+    words[()].remove((0,) * n)  # the identity is no finding
     found: List[GroupElement] = []
-    for w, group in _by_word(ball(n, r)).items():
+    for w, lattices in words.items():
         tests = []
         for i in range(1, n + 1):
-            commutes = _commutes_with(w, i, n)
+            commutes = _commutes_with(w, i, n) if lattices else None
             if commutes is None:
                 break
             tests.append(commutes)
         else:
-            found.extend(g for g in group if all(test(g.t) for test in tests))
+            found.extend(_element((w, t)) for t in lattices if all(test(t) for test in tests))
     found.sort(key=element_sort_key)
     return found

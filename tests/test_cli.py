@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hwgroups import cohomology_f2, crystal, group_ring, hw_group
+from hwgroups import cli, cohomology_f2, crystal, group_ring, hw_group
 from hwgroups.cli import _check_size, build_parser, main
 from hwgroups.exact_algebra import VerificationError
 
@@ -479,7 +479,7 @@ PROBE_ARGV = {
 
 
 def test_probe_budget_guard_exits_2(monkeypatch):
-    # Each probe's ball is ``hw_group.ball``; shrink its bound to 10.
+    # Each probe's ball is ``hw_group._ball_words``; shrink its bound to 10.
     monkeypatch.setattr(hw_group, "DEFAULT_BALL_BUDGET", 10)
     for argv in PROBE_ARGV.values():
         assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
@@ -487,15 +487,21 @@ def test_probe_budget_guard_exits_2(monkeypatch):
 
 
 def test_probes_take_their_bound_from_ball_alone(monkeypatch):
+    # Each probe reads its ball once from hw_group._ball_words, which
+    # applies the bound, and none wraps the whole ball through ball.
     calls = []
-    honest = hw_group.ball
+    honest = hw_group._ball_words
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(hw_group, "ball", recorded)
-    monkeypatch.setattr(crystal, "ball", recorded)
+    def wrapped(*args, **kwargs):
+        raise AssertionError("a probe called ball")
+
+    monkeypatch.setattr(hw_group, "_ball_words", recorded)
+    monkeypatch.setattr(crystal, "_ball_words", recorded)
+    monkeypatch.setattr(hw_group, "ball", wrapped)
     for kind, argv in PROBE_ARGV.items():
         calls.clear()
         assert run_cli(*argv)[0] == 0, kind
@@ -578,6 +584,28 @@ def test_up_check_refuses_more_products_than_the_budget(tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: n=1: up-check enumerates 1001*1000 = 1001000 pairs (x, y), "
                    "more than the enumeration bound 1000000\n")
+
+
+def test_up_check_refuses_a_set_file_over_the_budget_before_parsing(tmp_path, monkeypatch):
+    # 1,000,001 duplicate lines would collapse to one element, but the
+    # lines are counted, and refused, before either file is parsed.
+    big, one = tmp_path / "big.txt", tmp_path / "one.txt"
+    big.write_text("# comments and blank lines are not counted\n\n" + "x1\n" * 1_000_001)
+    one.write_text("x1\n")
+    for files in ((big, one), (one, big)):
+        start = time.perf_counter()
+        code, out, err = run_cli("up-check", "--n", "1", *map(str, files))
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: n=1: up-check enumerates 1000001 element lines in {big}, "
+                       "more than the enumeration bound 1000000\n")
+    # at the bound the file is parsed, and its duplicates collapse
+    monkeypatch.setattr(cli, "DEFAULT_BALL_BUDGET", 3)
+    big.write_text("x1\n" * 3)
+    code, out, _ = run_cli("up-check", "--n", "1", str(big), str(one))
+    assert code == 1 and out.startswith("|X| = 1, |Y| = 1, products = 1\n")
+    big.write_text("x1\n" * 4)
+    assert run_cli("up-check", "--n", "1", str(big), str(one))[0] == 2
 
 
 def test_mod2_check():

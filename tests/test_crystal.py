@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwgroups import VerificationError, crystal
+from hwgroups import VerificationError, crystal, hw_group
 from hwgroups.crystal import (
     AffineIsometry,
     fixed_point_probe,
@@ -298,11 +298,31 @@ def _g2_images(elements):
         yield g, head @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
 
 
+def _ball_elements(r):
+    """The rank-2 ball the crystal probes read, ``crystal._ball_words``,
+    as elements in canonical order."""
+    return sorted((GroupElement(w, t) for w, lattices in crystal._ball_words(2, r).items()
+                   for t in lattices), key=element_sort_key)
+
+
+def _g2_ball_of(elements, monkeypatch):
+    """``crystal._g2_ball`` on a ball planted as exactly these elements:
+    they come out in canonical order, each with the signs and the doubled
+    translation the probes read."""
+    words = {}
+    for g in elements:
+        words.setdefault(g.w, set()).add(g.t)
+    with monkeypatch.context() as patch:
+        patch.setattr(crystal, "_ball_words", lambda n, r: words)
+        return [(GroupElement(*wt), signs, doubled)
+                for wt, signs, doubled in crystal._g2_ball(1)]
+
+
 def _fraction_fixed_point_probe(r):
     """The fixed-point probe on Fractions: the oracle for the integer test."""
     e = identity(2)
     found = []
-    for g, iso in _g2_images(sorted(crystal.ball(2, r), key=element_sort_key)):
+    for g, iso in _g2_images(_ball_elements(r)):
         if g != e:
             point = crystal.fixed_points(iso)
             if point is not None:
@@ -313,7 +333,7 @@ def _fraction_fixed_point_probe(r):
 def _fraction_injectivity_probe(r):
     """The injectivity probe keyed on Fraction isometries."""
     images, collisions = {}, []
-    for g, iso in _g2_images(sorted(crystal.ball(2, r), key=element_sort_key)):
+    for g, iso in _g2_images(_ball_elements(r)):
         if iso in images:
             collisions.append((images[iso], g))
         else:
@@ -333,25 +353,35 @@ def test_probes_match_the_per_element_isometry(r, monkeypatch):
     elements = sorted(ball(2, r), key=element_sort_key)
     images = list(_g2_images(elements))
     assert images == [(g, g2_isometry(g)) for g in elements]
-    assert list(crystal._g2_doubled(elements)) == [
+    assert _ball_elements(r) == elements
+    assert [(GroupElement(*wt), signs, doubled)
+            for wt, signs, doubled in crystal._g2_ball(r)] == [
         (g, iso.signs, _doubled(iso)) for g, iso in images]
     assert fixed_point_probe(2, r) == _fraction_fixed_point_probe(r) == []
     assert injectivity_probe(r) == _fraction_injectivity_probe(r) == []
     # Planted findings: every element with a reflecting first coordinate
     # "fixes" its translation, by the integer test and by fixed_points
-    # alike, and a ball listed twice collides with itself.
-    monkeypatch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: signs[0] == -1)
-    monkeypatch.setattr(crystal, "fixed_points",
-                        lambda iso: iso.translation if iso.signs[0] == -1 else None)
-    monkeypatch.setattr(crystal, "ball", lambda n, radius: 2 * list(ball(n, radius)))
-    found = fixed_point_probe(2, r)
-    assert found and found == _fraction_fixed_point_probe(r)
+    # alike, and a ball that lists each lattice part twice collides with
+    # itself.
+    _plant_fixed_points(monkeypatch)
+    honest = crystal._ball_words
+    with monkeypatch.context() as patch:
+        patch.setattr(crystal, "_ball_words", lambda n, radius: {
+            w: 2 * sorted(lattices) for w, lattices in honest(n, radius).items()})
+        found = fixed_point_probe(2, r)
+        assert found and found == _fraction_fixed_point_probe(r)
+        collisions = injectivity_probe(r)
+        assert collisions == [(g, g) for g in elements]
+        assert collisions == _fraction_injectivity_probe(r)
+    # With B planted as A, x1 and x2 have one image, so distinct words
+    # collide, in the order of the Fraction oracle.
+    _plant_collisions(monkeypatch)
     collisions = injectivity_probe(r)
-    assert len(collisions) == len(elements)
+    assert (generator(2, 1), generator(2, 2)) in collisions
     assert collisions == _fraction_injectivity_probe(r)
 
 
-def test_integer_decisions_match_the_rational_model():
+def test_integer_decisions_match_the_rational_model(monkeypatch):
     # Every element of ball(2, 8), which holds the balls of smaller radius,
     # and each of its words again with translations far from the origin.
     rng = random.Random(97)
@@ -359,7 +389,7 @@ def test_integer_decisions_match_the_rational_model():
     elements += [GroupElement(w, (rng.randrange(-60, 61), rng.randrange(-60, 61)))
                  for w in sorted({g.w for g in elements}) for _ in range(3)]
     keys = set()
-    for g, signs, doubled in crystal._g2_doubled(elements):
+    for g, signs, doubled in _g2_ball_of(elements, monkeypatch):
         iso = g2_isometry(g)
         assert crystal._fixes_a_point(signs, doubled) == (fixed_points(iso) is not None)
         # the collision key is the isometry itself, doubled, so two keys
@@ -390,3 +420,73 @@ def test_integer_probes_refuse_what_the_rational_model_contradicts(monkeypatch):
     monkeypatch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: True)
     with pytest.raises(VerificationError, match="fixed_points"):
         fixed_point_probe(2, 2)
+
+
+def _counting_constructions(monkeypatch):
+    """Record every GroupElement built through the names the probes'
+    modules use: ``_element`` and ``GroupElement`` in hw_group and crystal."""
+    built = []
+    for module in (hw_group, crystal):
+        for name in ("_element", "GroupElement"):
+            def counted(*args, real=getattr(module, name)):
+                built.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return built
+
+
+def _plant_torsion(patch):
+    # x1^2 = e in the word kernel: x1 and x1 tau(k e2) square to e
+    real = hw_group._mul_words
+    patch.setattr(hw_group, "_mul_words", lambda u, v, n: (
+        ((), (0,) * n) if u == v == (1,) else real(u, v, n)))
+
+
+def _plant_center(patch):
+    # x1 x_i = x_i x1 = lift(x1 x_i) in the word kernel: x1 is central
+    real = hw_group._mul_words
+    planted = {}
+    for i in (2, 3):
+        planted[(1,), (i,)] = planted[(i,), (1,)] = ((1, i), (0, 0, 0))
+    patch.setattr(hw_group, "_mul_words", lambda u, v, n: planted.get((u, v)) or real(u, v, n))
+
+
+def _plant_fixed_points(patch):
+    # every element with a reflecting first coordinate "fixes" a point
+    patch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: signs[0] == -1)
+    patch.setattr(crystal, "fixed_points",
+                  lambda iso: iso.translation if iso.signs[0] == -1 else None)
+
+
+def _plant_collisions(patch):
+    # B planted as A: x1 and x2 have one image
+    a, _ = gamma3_generators()
+    patch.setattr(crystal, "gamma3_generators", lambda: (a, a))
+
+
+PROBE_CASES = {
+    # probe: (rank, radius, call, its plant, elements per finding,
+    #         elements built per distinct word)
+    "torsion": (3, 4, lambda r: hw_group.torsion_probe(3, r, 2), _plant_torsion, 1, 0),
+    "center": (3, 4, lambda r: hw_group.center_probe(3, r), _plant_center, 1, 0),
+    "fixed-point": (2, 6, lambda r: fixed_point_probe(2, r), _plant_fixed_points, 1, 1),
+    "injectivity": (2, 6, injectivity_probe, _plant_collisions, 2, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBE_CASES))
+def test_probes_build_elements_per_word_and_finding_only(kind, monkeypatch):
+    n, r, probe, plant, per_finding, per_word = PROBE_CASES[kind]
+    words = hw_group._ball_words(n, r)
+    size = sum(map(len, words.values()))
+    built = _counting_constructions(monkeypatch)
+    assert probe(r) == []
+    # hw_group's probes build nothing, crystal's one letter product per word
+    assert len(built) == per_word * len(words) < size
+    with monkeypatch.context() as patch:
+        plant(patch)
+        built.clear()
+        findings = probe(r)
+    assert findings
+    assert len(built) == per_word * len(words) + per_finding * len(findings)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hwgroups.group_ring import (
     RingElement,
     _ring_element,
+    count_element_lines,
     parse_set_file,
     product_tally,
     ring_mul,
@@ -251,3 +252,18 @@ def test_parse_set_file_reports_line_numbers():
     with pytest.raises(ElementSyntaxError) as err:
         parse_set_file("x1\n\nx2^" + "1" * 5000 + "\n", 2)
     assert "line 3" in str(err.value) and err.value.position == 0
+
+
+# Every line break of str.splitlines, other whitespace, "#" and atoms.
+_SET_FILE_CHARS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029", " ", "\t", "\x1f", "\xa0", "\u3000", "#", "x1", "x2^-1"]
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.lists(st.sampled_from(_SET_FILE_CHARS), max_size=40).map("".join))
+@example("x1\n\n  # c\n\tx2\r\nx1 x2\x85#x\n")
+def test_count_element_lines_counts_the_lines_parse_set_file_parses(text):
+    # the lines parse_set_file reads, duplicates included
+    expected = sum(1 for raw in text.splitlines()
+                   if raw.strip() and not raw.strip().startswith("#"))
+    assert count_element_lines(text) == expected

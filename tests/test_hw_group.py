@@ -488,7 +488,7 @@ TORSION_RADII = {0: 4, 1: 4, 2: 4, 3: 3, 4: 3}
 def test_torsion_by_the_order_lemma_matches_the_power_search(n, monkeypatch):
     calls = _counting_kernel(monkeypatch)
     for r in range(1, TORSION_RADII[n] + 1):
-        words = {g.w for g in ball(n, r) if not g.is_identity()}
+        words = {g.w for g in ball(n, r) if g != identity(n)}
         for kmax in range(1, 13):
             expected = torsion_by_powers(n, r, kmax)
             assert reference_torsion_probe(n, r, kmax) == expected
@@ -604,7 +604,7 @@ def test_torsion_probe_keeps_its_refusals(monkeypatch):
     for r, kmax in ((0, 2), (2, 0)):
         with pytest.raises(ValueError, match="at least 1"):
             torsion_probe(2, r, kmax)
-    # the probe's ball is hw_group.ball, so its bound is the ball's
+    # the probe reads its ball from hw_group._ball_words, which applies the bound
     monkeypatch.setattr(hw_group, "DEFAULT_BALL_BUDGET", 3)
     for kmax in (1, 2):
         with pytest.raises(BallBudgetError, match="budget of 3 elements"):

@@ -19,7 +19,7 @@ import hwgroups
 _PRELUDE = """
 import sys
 from fractions import Fraction
-from hwgroups import cli, cohomology_f2, cohomology_q, hw_group, quotient_w
+from hwgroups import cli, cohomology_f2, cohomology_q, crystal, hw_group, quotient_w
 from hwgroups.exact_algebra import IntPolynomial, VerificationError
 if sys.flags.optimize < 1:
     sys.exit("not running under -O")
@@ -52,6 +52,17 @@ _CASES = {
                              "does not divide"),
     "kernel_rank_euler": ("quotient_w.euler_wn = lambda n: Fraction(0)",
                           "quotient_w.kernel_rank_details(4)", "differs from"),
+    # A translates by 1/4 along e_1, so the letter product of x1 has no
+    # doubled-integer form
+    "g2_half_integers": ("_a, _b = crystal.gamma3_generators()\n"
+                         "_quarter = crystal.AffineIsometry(_a.signs, (Fraction(1, 4),\n"
+                         "    Fraction(1, 2), Fraction(0)))\n"
+                         "crystal.gamma3_generators = lambda: (_quarter, _b)",
+                         "crystal.injectivity_probe(1)", "translates off (1/2)Z"),
+    # the integer test claims a fixed point for every element, which the
+    # rational solve refutes
+    "g2_fixed_point": ("crystal._fixes_a_point = lambda signs, doubled: True",
+                       "crystal.fixed_point_probe(2, 2)", "fixed_points none"),
 }
 
 
