@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import partial
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from . import ElementSyntaxError, _Value
 from .hw_group import (GroupElement, _element, element_sort_key, identity, parse_element,
@@ -65,17 +65,11 @@ def ring_one(n: int) -> RingElement:
     return RingElement(n, frozenset({identity(n)}))
 
 
-def _count_products(xs: Iterable[GroupElement], ys: Iterable[GroupElement]) -> Counter:
-    """How often each raw (w, t) product of X x Y occurs, in the order
-    the products first appear."""
-    return Counter(products(xs, ys))
-
-
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """Convolution over F_2: the products represented an odd number of times."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    counts = _count_products(a.support, b.support)
+    counts = Counter(products(a.support, b.support))
     return _ring_element((a.n, frozenset(
         map(_element, [pair for pair, count in counts.items() if count & 1]))))
 
@@ -85,11 +79,10 @@ def product_tally(
 ) -> Dict[GroupElement, int]:
     """Exact representation counts of products over X x Y, in the order
     the products first appear."""
-    xs = list(x_set)
-    ys = list(y_set)
+    xs, ys = list(x_set), list(y_set)
     if not xs or not ys:
         raise ValueError("tally needs nonempty sets")
-    counts = _count_products(xs, ys)
+    counts = Counter(products(xs, ys))
     return dict(zip(map(_element, counts), counts.values()))
 
 
@@ -115,22 +108,27 @@ def parse_set_file(text: str, n: int) -> List[GroupElement]:
     forms collapse.  Returns the set in canonical order.
     """
     seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _element_lines(text):
         try:
             seen.add(parse_element(line, n))
         except ElementSyntaxError as exc:
-            raise ElementSyntaxError(
-                f"line {lineno}: {exc.message}", exc.position) from None
+            raise ElementSyntaxError(f"line {lineno}: {exc.message}", exc.position) from None
     return sorted(seen, key=element_sort_key)
 
 
-# A break of str.splitlines, then whitespace up to a first character not "#".
-_ELEMENT_LINE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]\\s*[^\\s#]")
+# A line of str.splitlines and its break, matched without backtracking.
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAK}]*(?:\r\n|[{_BREAK}]|\\Z)")
+
+
+def _element_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(number, stripped text) of each line neither blank nor a # comment."""
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        line = match.group().strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def count_element_lines(text: str) -> int:
-    """The number of lines ``parse_set_file`` parses, in one scan."""
-    return sum(1 for _ in _ELEMENT_LINE.finditer("\n" + text))
+    """The number of lines ``parse_set_file`` parses, in one linear scan."""
+    return sum(1 for _ in _element_lines(text))

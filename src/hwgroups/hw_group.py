@@ -548,9 +548,11 @@ def center_probe(n: int, r: int) -> List[GroupElement]:
     words[()].remove((0,) * n)  # the identity is no finding
     found: List[GroupElement] = []
     for w, lattices in words.items():
+        if not lattices:
+            continue
         tests = []
         for i in range(1, n + 1):
-            commutes = _commutes_with(w, i, n) if lattices else None
+            commutes = _commutes_with(w, i, n)
             if commutes is None:
                 break
             tests.append(commutes)

@@ -608,6 +608,21 @@ def test_up_check_refuses_a_set_file_over_the_budget_before_parsing(tmp_path, mo
     assert run_cli("up-check", "--n", "1", str(big), str(one))[0] == 2
 
 
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "  \n", "\x85"])
+@pytest.mark.parametrize("tail", ["", "# a comment\n"])
+def test_up_check_counts_a_million_blank_lines_in_linear_time(tmp_path, blank, tail):
+    # a run of blank lines holds no element line: it is scanned once and
+    # then refused as an empty set file
+    empty, one = tmp_path / "empty.txt", tmp_path / "one.txt"
+    empty.write_bytes((blank * 10**6 + tail).encode("utf-8"))
+    one.write_text("x1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli("up-check", "--n", "1", str(empty), str(one))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == "error: set files must contain at least one element each\n"
+
+
 def test_mod2_check():
     code, out, _ = run_cli("mod2-check", "--n", "4")
     assert code == 0

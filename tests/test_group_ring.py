@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hwgroups.group_ring import (
     RingElement,
+    _element_lines,
     _ring_element,
     count_element_lines,
     parse_set_file,
@@ -263,7 +264,8 @@ _SET_FILE_CHARS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85
 @given(st.lists(st.sampled_from(_SET_FILE_CHARS), max_size=40).map("".join))
 @example("x1\n\n  # c\n\tx2\r\nx1 x2\x85#x\n")
 def test_count_element_lines_counts_the_lines_parse_set_file_parses(text):
-    # the lines parse_set_file reads, duplicates included
-    expected = sum(1 for raw in text.splitlines()
-                   if raw.strip() and not raw.strip().startswith("#"))
-    assert count_element_lines(text) == expected
+    # the lines parse_set_file reads, duplicates included, numbered as splitlines
+    expected = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)
+                if raw.strip() and not raw.strip().startswith("#")]
+    assert list(_element_lines(text)) == expected
+    assert count_element_lines(text) == len(expected)
