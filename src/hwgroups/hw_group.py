@@ -19,23 +19,19 @@ word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
 ``products`` of two sets calls it once per distinct word pair (u, v) and
 yields raw (w, t) pairs, which ``group_ring`` counts as tuples and wraps
 once per distinct product.
-``_ball_words`` searches the Cayley ball into {word: lattice parts},
-which ``ball`` wraps and the probes read by word: ``torsion_probe``
-squares each word once, and ``center_probe`` multiplies it by x_1, x_2,
-... on both sides until the two products differ in word.  Only a passing
-word's lattice parts are tested, and only a finding is built.
-
-A ``GroupElement`` is a ``_Value`` with the fields (w, t): the pair as
-a tuple, built and hashed in C, whose ``w`` and ``t`` properties,
-equality and repr come from the package root.  The unchecked
-constructor ``_element`` takes such a pair, and ``ball``,
-``group_ring.product_tally`` and ``ring_mul`` map it over their raw
-results, with no Python frame per element.
+``_ball_words`` lists the Cayley ball as {word: lattice parts} by the
+exact word metric, one box per word, each counted by ``_near_size``
+before it is built; ``_ball_size`` counts a whole ball with it, for
+``cli`` to refuse a probe.  ``ball`` wraps the map; the probes test each
+word once, its lattice parts only if it passes, and build only a
+finding.  A ``GroupElement`` is the pair (w, t) as a ``_Value``, built
+and hashed in C; the unchecked constructor ``_element`` maps over raw
+pairs with no Python frame per element.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET``, ``decimal_text`` and ``_Value`` come from the
 package root, and all but ``_Value`` are re-exported here.  Of the
-standard library it imports only ``functools``, ``itertools``,
+standard library it imports only ``functools``, ``itertools``, ``math``,
 ``operator``, ``re``, ``sys`` and ``typing``, which ``cli`` has loaded
 before any command runs (``re`` loads the first three); no
 ``dataclasses`` and no ``fractions``.
@@ -46,7 +42,8 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial
-from itertools import repeat
+from itertools import chain, product, repeat
+from math import comb, prod
 from operator import add, mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -413,53 +410,110 @@ def element_sort_key(g: GroupElement):
     return (len(g.w), g.w, g.t)
 
 
+def _near(box: Tuple[range, ...], R: int) -> Iterator[Tuple[int, ...]]:
+    """The points within L1 distance R of a box of ranges, each once: one
+    product per excess vector d, of side k or, if d_k > 0, its ends +- d_k."""
+    if not R:
+        return product(*box)
+    parts = [((), R)]
+    for side in box:
+        parts = [(cols + (side,), b) for cols, b in parts] + [
+            (cols + ((side[0] - d, side[-1] + d),), b - d) for cols, b in parts
+            for d in range(1, b + 1)]
+    return chain.from_iterable(product(*cols) for cols, _ in parts)
+
+
+def _near_size(sides: Iterable[int], R: int) -> int:
+    """How many points ``_near`` lists for a box of these side lengths m:
+    sum_s 2^s C(R, s) e_(n-s)(m), s coordinates outside the box, each past
+    either end by 1 or more, by R at most in all; e_(n-s)(m) is the
+    coefficient of y^s in prod_k (m_k + y)."""
+    if not R:
+        return prod(sides)
+    poly = [1]  # prod (m + y) over the sides, to the y^R term
+    for m in sides:
+        poly = [m * a + b for a, b in zip(poly + [0], [0] + poly)][:R + 1]
+    total, weight = 0, 1
+    for s, p in enumerate(poly):  # weight = 2^s C(R, s)
+        total += weight * p
+        weight = weight * 2 * (R - s) // (s + 1)
+    return total
+
+
+def _ball_size(n: int, r: int) -> int:
+    """The number of elements of ``ball(n, r)``, or a partial sum once it
+    passes ``DEFAULT_BALL_BUDGET``, at a cost bounded whatever n is.
+
+    A word's box has sides occ_k(w) + 1 (``_ball_words``), so words count
+    through their letter counts alone, and a layer of words is a map
+    {(the sorted counts of all letters but the last, the last letter's
+    count): number of words}.  R is capped at the bound, which a word with
+    a larger R passes alone (for n >= 1, by 2R + 1 points on one axis).
+    """
+    size, layer = 0, {((), 0): 1}
+    for length in range(r + 1):
+        R = min((r - length) // 2, DEFAULT_BALL_BUDGET)
+        following: "dict[Tuple[Tuple[int, ...], int], int]" = {}
+        for (rest, last), words in layer.items():
+            counts = rest + (last,) if last else rest
+            free = n - len(counts)
+            size += words * _near_size([c + 1 for c in counts] + [1] * free, R)
+            # w x_l for l a letter not in w (free ways), or in w but not last
+            steps = [(rest[:i] + rest[i + 1:], rest[i], 1) for i in range(len(rest))]
+            for others, c, ways in steps + [(rest, 0, free)]:
+                if ways:
+                    key = (tuple(sorted(others + (last,) if last else others)), c + 1)
+                    following[key] = following.get(key, 0) + words * ways
+        if size > DEFAULT_BALL_BUDGET or not following:
+            break
+        layer = following
+    return size
+
+
 def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
     """The ball of radius r as {word: set of its lattice parts}, the
     empty word's set holding the identity's zero vector.
 
-    Breadth-first over append_letter moves, run on raw (w, t) pairs:
-    x_i fixes t_i and negates every other coordinate, so t is negated
-    once per element, and the word step is taken once for x_i and
-    x_i^-1 = x_i tau(-e_i).  Raises BallBudgetError as soon as the
-    visited set would exceed ``DEFAULT_BALL_BUDGET`` elements, the
-    identity included; the bound is read once per call.  This is the one
-    place the run-time bound is applied: ``ball`` and the probes read it.
+    For w reduced, |lift(w) tau(t)| = |w| + 2 d_1(t, B(w)), d_1 the L1
+    distance to the box B(()) = {0}, B(w l) = sigma_l B(w) + [-1, 0] e_l.
+    Upper bound: x_l and x_l^-1 = x_l tau(-e_l) take lift(w) tau(b) to
+    lift(w l) tau(sigma_l b) and tau(sigma_l b - e_l), so w's letters, each
+    with either sign, spell exactly the points of B(w); then each x_j^(+-2)
+    = tau(+-e_j) appended moves t by a unit step.  Lower bound: free
+    reduction takes L letters spelling g to w by cancelling L - |w| of
+    them in non-crossing pairs of equal letters (Lyndon and Schupp, ch.
+    IV), so if L > |w| a pair is adjacent.  Its product tau(d e_i), |d| <=
+    1, moves past the later letters as tau(f), ||f||_1 <= 1, since sign
+    actions keep the norm, and the other L - 2 letters spell g tau(-f).
+    At L = |w| the letters spell w, one sign each, so t is in B(w); by
+    induction d_1(t, B(w)) <= (L - |w|) / 2.
+    The walk goes depth first over the reduced words of length at most r
+    with the box as ranges: appending l maps [lo, hi] to [-hi, -lo] off
+    coordinate l and widens coordinate l to [lo - 1, hi].  A word's set is
+    the points ``_near`` its box, within R = floor((r - |w|) / 2), each
+    once: no visited set, no frontier.  Raises BallBudgetError once the
+    ball would hold more than ``DEFAULT_BALL_BUDGET`` elements, the
+    identity included, read once per call: the one run-time bound.  Each
+    word's points are counted by ``_near_size``, R capped as in
+    ``_ball_size``, before any is built, so the map never holds more than
+    the bound, however large R is.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if n < 0 or r < 0:
+        raise ValueError(f"{'rank' if n < 0 else 'radius'} must be nonnegative")
     budget = DEFAULT_BALL_BUDGET
-    zero = (0,) * n
-    seen = {(): {zero}}
-    size = 1
-    frontier = [((), zero)]
-    for _ in range(r):
-        next_frontier = []
-        for w, t in frontier:
-            twisted = [-v for v in t]
-            last = w[-1] if w else 0
-            for i in range(1, n + 1):
-                if i == last:  # x_i cancels, leaving the unit e_i
-                    word, plus = w[:-1], t[i - 1] + 1
-                else:
-                    word, plus = w + (i,), t[i - 1]
-                lattices = seen.get(word)
-                if lattices is None:
-                    lattices = seen[word] = set()
-                for v in (plus, plus - 1):  # x_i, then x_i^-1
-                    twisted[i - 1] = v
-                    h = tuple(twisted)
-                    if h not in lattices:
-                        if size >= budget:
-                            raise BallBudgetError(
-                                f"ball exceeds budget of {budget} elements")
-                        size += 1
-                        lattices.add(h)
-                        next_frontier.append((word, h))
-                twisted[i - 1] = -t[i - 1]
-        frontier = next_frontier
-    return seen
+    words, size, stack = {}, 0, [((), (range(1),) * n)]
+    while stack:
+        w, box = stack.pop()
+        R = (r - len(w)) // 2
+        size += _near_size(map(len, box), min(R, budget))
+        if size > budget:
+            raise BallBudgetError(f"ball exceeds budget of {budget} elements")
+        words[w] = set(_near(box, R))
+        if len(w) < r:
+            twisted = [range(1 - s.stop, 1 - s.start) for s in box]
+            stack += [(w + (k,), (*twisted[:k - 1], range(s.start - 1, s.stop), *twisted[k:]))
+                      for k, s in enumerate(box, 1) if not w or w[-1] != k]
+    return words
 
 
 def ball(n: int, r: int) -> "set[GroupElement]":

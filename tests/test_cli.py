@@ -517,6 +517,39 @@ def test_probes_take_their_bound_from_ball_alone(monkeypatch):
     assert "unrecognized arguments: --budget 100000000" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ("probe", "torsion", "--n", "4", "--radius", "12", "--kmax", "2"),
+    ("probe", "center", "--n", "4", "--radius", "9"),
+    ("probe", "torsion", "--n", "30", "--radius", "4", "--kmax", "2"),
+    ("probe", "fixed-point", "--n", "2", "--radius", "2000"),
+    ("probe", "injectivity", "--radius", "2000"),
+], ids=" ".join)
+def test_probes_over_the_ball_budget_are_refused_before_the_search(argv, monkeypatch):
+    def searched(*args):
+        raise AssertionError("the ball search ran")
+
+    monkeypatch.setattr(hw_group, "_ball_words", searched)
+    monkeypatch.setattr(crystal, "_ball_words", searched)
+    start = time.perf_counter()
+    assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
+                                     "of 1000000 elements\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_up_front_ball_count_refuses_exactly_past_the_budget(monkeypatch):
+    for kind, argv in PROBE_ARGV.items():
+        n = int(argv[3]) if kind in ("torsion", "center") else 2
+        size = len(hw_group.ball(n, 6))
+        monkeypatch.setattr(cli, "DEFAULT_BALL_BUDGET", size)
+        assert run_cli(*argv)[0] == 0, kind
+        monkeypatch.setattr(cli, "DEFAULT_BALL_BUDGET", size - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(hw_group, "_ball_words", None)  # refused before the search
+            patch.setattr(crystal, "_ball_words", None)
+            assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
+                                             f"of {size - 1} elements\n"), kind
+
+
 def test_up_check(tmp_path):
     x_file = tmp_path / "x.txt"
     y_file = tmp_path / "y.txt"
@@ -696,6 +729,9 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
      "radius and exponent bound must be at least 1"),
     (("probe", "injectivity", "--radius", "0"), "radius must be at least 1"),
     (("probe", "center", "--n", "2", "--radius", "0"), "radius must be at least 1"),
+    # at any radius: the up-front ball count is skipped at a rank it never searches
+    (("probe", "fixed-point", "--n", "3", "--radius", "2000"),
+     "fixed-point probe runs in the rank-2 matrix model"),
 ])
 def test_refusals_name_their_bound(argv, message, tmp_path):
     files = _set_files(tmp_path)

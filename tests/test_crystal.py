@@ -262,6 +262,15 @@ def test_rn_isometry_builds_one_isometry(monkeypatch):
         assert type(rn_isometry(g)) is Counted and len(built) == 1
 
 
+@pytest.mark.parametrize("probe", [injectivity_probe, lambda r: fixed_point_probe(2, r)],
+                         ids=["injectivity", "fixed-point"])
+def test_an_oversized_probe_ball_is_refused_before_it_is_built(probe):
+    start = time.perf_counter()
+    with pytest.raises(hw_group.BallBudgetError, match="budget of 1000000 elements"):
+        probe(10**5)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_rn_action_is_linear_in_the_word_and_the_rank():
     # 5,000 letters at n = 200: one isometry per letter took about 6 s.
     rng = random.Random(31)

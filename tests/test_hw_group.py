@@ -372,6 +372,125 @@ def reference_ball(n, r):
     return seen
 
 
+def bfs_ball_words(n, r):
+    """Oracle for _ball_words: breadth first over append_letter moves on
+    raw (w, t) pairs, as {word: {lattice part: layer}}, with the same
+    budget check.
+
+    x_i fixes t_i and negates every other coordinate, so t is negated
+    once per element, and the word step is taken once for x_i and
+    x_i^-1 = x_i tau(-e_i).
+    """
+    budget = hw_group.DEFAULT_BALL_BUDGET
+    zero = (0,) * n
+    seen = {(): {zero: 0}}
+    size = 1
+    frontier = [((), zero)]
+    for layer in range(1, r + 1):
+        next_frontier = []
+        for w, t in frontier:
+            twisted = [-v for v in t]
+            last = w[-1] if w else 0
+            for i in range(1, n + 1):
+                if i == last:  # x_i cancels, leaving the unit e_i
+                    word, plus = w[:-1], t[i - 1] + 1
+                else:
+                    word, plus = w + (i,), t[i - 1]
+                lattices = seen.setdefault(word, {})
+                for v in (plus, plus - 1):  # x_i, then x_i^-1
+                    twisted[i - 1] = v
+                    h = tuple(twisted)
+                    if h not in lattices:
+                        if size >= budget:
+                            raise BallBudgetError(f"ball exceeds budget of {budget} elements")
+                        size += 1
+                        lattices[h] = layer
+                        next_frontier.append((word, h))
+                twisted[i - 1] = -t[i - 1]
+        frontier = next_frontier
+    return seen
+
+
+def box_of(w, n):
+    """B(w) of the word metric as (lo, hi) pairs, in one pass from the end
+    of w: the occurrence of k at position j adds the choice of the unit
+    -(-1)^m, m the number of later letters other than k, so B(w)_k runs
+    from minus the count of those with m even to the count of the odd."""
+    lo, hi = [0] * n, [0] * n
+    later = [0] * (n + 1)  # later[k]: occurrences of k after position j
+    for j in range(len(w) - 1, -1, -1):
+        k = w[j]
+        if (len(w) - 1 - j - later[k]) % 2:
+            hi[k - 1] += 1
+        else:
+            lo[k - 1] -= 1
+        later[k] += 1
+    return list(zip(lo, hi))
+
+
+# The grid of the walk's differential checks, and every rank 0..6 at radii 0 and 1.
+WALK_GRID = [(0, 4), (1, 12), (2, 9), (3, 7), (4, 6), (5, 5), (6, 4)] + [
+    (n, r) for n in range(7) for r in (0, 1)]
+
+
+@pytest.mark.parametrize("n, r", WALK_GRID)
+def test_ball_walk_matches_the_breadth_first_search(n, r, monkeypatch):
+    emitted = []
+    honest = hw_group._near
+
+    def listed(box, radius):
+        points = list(honest(box, radius))
+        emitted.append(len(points))
+        assert len(points) == hw_group._near_size(map(len, box), radius)
+        return points
+
+    monkeypatch.setattr(hw_group, "_near", listed)
+    got = hw_group._ball_words(n, r)
+    assert got == {w: set(lattices) for w, lattices in bfs_ball_words(n, r).items()}
+    # one emission per word, and no point emitted twice before the set dedupes
+    assert len(emitted) == len(got)
+    assert sum(emitted) == sum(map(len, got.values()))
+
+
+@pytest.mark.parametrize("n, r", WALK_GRID)
+def test_ball_size_counts_the_ball(n, r):
+    assert hw_group._ball_size(n, r) == len(ball(n, r))
+
+
+def test_ball_size_is_exact_to_the_budget_and_stops_past_it():
+    # sizes the breadth-first search counted, at 0.65 to 0.96 of the budget
+    assert [hw_group._ball_size(*nr) for nr in ((3, 11), (4, 8), (6, 6))] == [
+        650271, 921873, 962123]
+    # ball(1, r) is the 2r + 1 powers of x1
+    assert hw_group._ball_size(1, 499999) == 999999
+    assert hw_group._ball_size(1, 500000) == 1000001
+    # rank 0 is the identity at any radius, and a negative radius is empty
+    assert (hw_group._ball_size(0, 10**100), hw_group._ball_size(3, -1)) == (1, 0)
+    for n, r in ((4, 9), (4, 12), (30, 4), (706, 2), (2, 10**100), (706, 10**100)):
+        start = time.perf_counter()
+        assert hw_group._ball_size(n, r) > hw_group.DEFAULT_BALL_BUDGET
+        assert time.perf_counter() - start < 0.5, (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(1, 10**9), (2, 10**5), (3, 10**4)])
+def test_an_oversized_ball_is_refused_before_its_points_are_built(n, r):
+    # each word is counted before its set is built, so even the identity's
+    # neighbourhood, the first and largest, is never held past the budget
+    start = time.perf_counter()
+    with pytest.raises(BallBudgetError, match="budget of 1000000 elements"):
+        ball(n, r)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n, r", WALK_GRID)
+def test_word_metric_gives_every_breadth_first_layer(n, r):
+    for w, lattices in bfs_ball_words(n, r).items():
+        box = box_of(w, n)
+        for t, layer in lattices.items():
+            distance = sum(max(lo - v, 0, v - hi) for v, (lo, hi) in zip(t, box))
+            assert layer == len(w) + 2 * distance, (w, t)
+
+
 @pytest.mark.parametrize("n, r", [(0, 4), (1, 4), (2, 12), (3, 6), (4, 5), (5, 4)])
 def test_ball_matches_the_append_letter_search(n, r, monkeypatch):
     expected = reference_ball(n, r)
