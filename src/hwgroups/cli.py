@@ -10,13 +10,12 @@ by raising ``ValueError``, which ``main`` reports on stderr as
 ``error: ...``; it catches the package root's errors by class and
 reports them as ``verification failed``, ``parse error`` or
 ``resource guard``.
-Before a command with ``--n``, or a probe, runs, ``main`` refuses a
-request whose output is too long or whose enumeration exceeds
-``DEFAULT_BALL_BUDGET`` (``--unsafe-large`` lifts this on ``poincare``
-only); ``up-check`` also refuses a set file of more element lines,
-before it parses either, and two sets with more products; a probe also
-refuses a ball of more elements, by an exact count, and the ball itself
-refuses at run time past that bound.
+Before a command with ``--n`` runs, ``main`` refuses a request whose
+output is too long or whose enumeration exceeds ``DEFAULT_BALL_BUDGET``
+(``--unsafe-large`` lifts this on ``poincare`` only); ``up-check`` also
+refuses a set file of more element lines, before it parses either, and
+two sets with more products.  A probe's ball is refused by the library's
+one ball check, an exact count made before any element is built.
 Exit codes: 0 success or verification pass, 1 verification failure
 (mismatch, probe findings, unique products found, a failed run-time
 check), 2 usage or input errors, an oversized request among them.
@@ -316,9 +315,9 @@ def cmd_mod2_check(args: argparse.Namespace) -> Result:
 def _check_size(args: argparse.Namespace) -> None:
     """Refuse a request before any work when its largest output number is
     proved to fail ``check_digits``, or when it enumerates more items than
-    ``DEFAULT_BALL_BUDGET`` (``--unsafe-large`` lifts this on ``poincare``);
-    a probe also when its ball, counted by ``hw_group._ball_size``, holds
-    more."""
+    ``DEFAULT_BALL_BUDGET`` (``--unsafe-large`` lifts this on ``poincare``).
+    A probe's ball is left to the library's ball check, which raises
+    ``BallBudgetError`` after the probe has checked its arguments."""
     n, command = args.n, args.command
     if command in ("poincare", "mod2-check"):
         # Both series have n + 2 coefficients and at x = 1 sum to 2 + (n-1) 2^n
@@ -344,13 +343,6 @@ def _check_size(args: argparse.Namespace) -> None:
     if count > DEFAULT_BALL_BUDGET and not lift:
         hint = "" if lift is None else " (pass --unsafe-large to force)"
         raise _over_bound(n, command, items, hint)
-    # The crystal probes search the rank-2 ball: injectivity's n is 2, and
-    # fixed-point at another n reports its rank error.
-    if args.command == "probe" and (args.kind != "fixed-point" or n == 2):
-        from . import hw_group
-
-        if hw_group._ball_size(n, args.radius) > DEFAULT_BALL_BUDGET:
-            raise BallBudgetError(f"ball exceeds budget of {DEFAULT_BALL_BUDGET} elements")
 
 
 def _over_bound(n: int, command: str, items: str, hint: str = "") -> ValueError:
@@ -427,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"--n must be at least {args.n_min} for this command\n")
         return 2
     try:
-        if args.n_min is not None or args.command == "probe":
+        if args.n_min is not None:
             _check_size(args)
         code, record, lines = args.func(args)
     except VerificationError as exc:

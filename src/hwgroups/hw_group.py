@@ -20,13 +20,13 @@ word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
 yields raw (w, t) pairs, which ``group_ring`` counts as tuples and wraps
 once per distinct product.
 ``_ball_words`` lists the Cayley ball as {word: lattice parts} by the
-exact word metric, one box per word, each counted by ``_near_size``
-before it is built; ``_ball_size`` counts a whole ball with it, for
-``cli`` to refuse a probe.  ``ball`` wraps the map; the probes test each
-word once, its lattice parts only if it passes, and build only a
-finding.  A ``GroupElement`` is the pair (w, t) as a ``_Value``, built
-and hashed in C; the unchecked constructor ``_element`` maps over raw
-pairs with no Python frame per element.
+exact word metric, one box per word, once ``_check_ball`` has counted
+the ball (``_ball_size``) within ``DEFAULT_BALL_BUDGET``: the one ball
+bound, which ``ball``, the probes and the CLI share.  ``ball`` wraps
+the map; the probes test each word once, its lattice parts only if it
+passes, and build only a finding.  A ``GroupElement`` is the pair (w, t)
+as a ``_Value``, built and hashed in C; the unchecked constructor
+``_element`` maps over raw pairs with no Python frame per element.
 
 Importing this module loads no other module of the package: its errors,
 ``DEFAULT_BALL_BUDGET``, ``decimal_text`` and ``_Value`` come from the
@@ -43,7 +43,7 @@ import re
 import sys
 from functools import partial
 from itertools import chain, product, repeat
-from math import comb, prod
+from math import prod
 from operator import add, mul
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -442,17 +442,20 @@ def _near_size(sides: Iterable[int], R: int) -> int:
 
 def _ball_size(n: int, r: int) -> int:
     """The number of elements of ``ball(n, r)``, or a partial sum once it
-    passes ``DEFAULT_BALL_BUDGET``, at a cost bounded whatever n is.
+    passes ``DEFAULT_BALL_BUDGET``.
 
     A word's box has sides occ_k(w) + 1 (``_ball_words``), so words count
     through their letter counts alone, and a layer of words is a map
     {(the sorted counts of all letters but the last, the last letter's
-    count): number of words}.  R is capped at the bound, which a word with
-    a larger R passes alone (for n >= 1, by 2R + 1 points on one axis).
+    count): number of words}.  R is capped at C = budget // (2n) + 1, so
+    a ``_near_size`` call costs O(nC) = O(budget + n) steps, whatever r
+    is.  The decision stays exact: a box's neighbourhood holds at least
+    1 + 2nR points on the axes alone, so R >= C passes the bound alone.
     """
+    cap = DEFAULT_BALL_BUDGET // (2 * n) + 1 if n else 0
     size, layer = 0, {((), 0): 1}
     for length in range(r + 1):
-        R = min((r - length) // 2, DEFAULT_BALL_BUDGET)
+        R = min((r - length) // 2, cap)
         following: "dict[Tuple[Tuple[int, ...], int], int]" = {}
         for (rest, last), words in layer.items():
             counts = rest + (last,) if last else rest
@@ -468,6 +471,15 @@ def _ball_size(n: int, r: int) -> int:
             break
         layer = following
     return size
+
+
+def _check_ball(n: int, r: int) -> None:
+    """The one ball bound: ValueError for a negative rank or radius, and
+    BallBudgetError when ``_ball_size(n, r)`` exceeds the budget."""
+    if n < 0 or r < 0:
+        raise ValueError(f"{'rank' if n < 0 else 'radius'} must be nonnegative")
+    if _ball_size(n, r) > DEFAULT_BALL_BUDGET:
+        raise BallBudgetError(f"ball exceeds budget of {DEFAULT_BALL_BUDGET} elements")
 
 
 def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
@@ -491,24 +503,14 @@ def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
     with the box as ranges: appending l maps [lo, hi] to [-hi, -lo] off
     coordinate l and widens coordinate l to [lo - 1, hi].  A word's set is
     the points ``_near`` its box, within R = floor((r - |w|) / 2), each
-    once: no visited set, no frontier.  Raises BallBudgetError once the
-    ball would hold more than ``DEFAULT_BALL_BUDGET`` elements, the
-    identity included, read once per call: the one run-time bound.  Each
-    word's points are counted by ``_near_size``, R capped as in
-    ``_ball_size``, before any is built, so the map never holds more than
-    the bound, however large R is.
+    once: no visited set, no frontier.  ``_check_ball`` refuses the ball
+    first, so the map never holds more than the bound.
     """
-    if n < 0 or r < 0:
-        raise ValueError(f"{'rank' if n < 0 else 'radius'} must be nonnegative")
-    budget = DEFAULT_BALL_BUDGET
-    words, size, stack = {}, 0, [((), (range(1),) * n)]
+    _check_ball(n, r)
+    words, stack = {}, [((), (range(1),) * n)]
     while stack:
         w, box = stack.pop()
-        R = (r - len(w)) // 2
-        size += _near_size(map(len, box), min(R, budget))
-        if size > budget:
-            raise BallBudgetError(f"ball exceeds budget of {budget} elements")
-        words[w] = set(_near(box, R))
+        words[w] = set(_near(box, (r - len(w)) // 2))
         if len(w) < r:
             twisted = [range(1 - s.stop, 1 - s.start) for s in box]
             stack += [(w + (k,), (*twisted[:k - 1], range(s.start - 1, s.stop), *twisted[k:]))
@@ -569,13 +571,15 @@ def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     tau(k t) when w is empty.  So the order of a torsion element is 2,
     whatever kmax is.  Each distinct word is squared once by the word
     kernel; only the lattice parts of a word with w^2 = 1 in W_n are
-    then tested, by one signed vector sum each.
+    then tested, by one signed vector sum each.  Below kmax = 2 the
+    answer is empty, so the ball is only counted against the bound.
     """
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
-    words = _ball_words(n, r)
     if kmax < 2:
+        _check_ball(n, r)
         return []
+    words = _ball_words(n, r)
     words[()].remove((0,) * n)  # the identity is no finding
     found = [(_element((w, t)), 2) for w, lattices in words.items()
              if lattices and (squares_to_e := _squares_to_identity(w, n))

@@ -461,6 +461,14 @@ def test_torsion_probe_answers_a_huge_kmax_at_once():
     assert out == "probe=torsion n=2 radius=2 kmax=100000000 findings: 0\n"
 
 
+def test_torsion_probe_below_kmax_2_answers_at_once():
+    # the answer is empty by the order lemma; the ball is counted, not built
+    start = time.perf_counter()
+    code, out, err = run_cli("probe", "torsion", "--n", "3", "--radius", "11", "--kmax", "1")
+    assert time.perf_counter() - start < 0.2
+    assert (code, out, err) == (0, "probe=torsion n=3 radius=11 kmax=1 findings: 0\n", "")
+
+
 def test_the_largest_admitted_center_probe_answers_within_a_second():
     # n = 706 is the largest rank the size check admits for a probe
     start = time.perf_counter()
@@ -526,10 +534,10 @@ def test_probes_take_their_bound_from_ball_alone(monkeypatch):
 ], ids=" ".join)
 def test_probes_over_the_ball_budget_are_refused_before_the_search(argv, monkeypatch):
     def searched(*args):
-        raise AssertionError("the ball search ran")
+        raise AssertionError("the ball search built points")
 
-    monkeypatch.setattr(hw_group, "_ball_words", searched)
-    monkeypatch.setattr(crystal, "_ball_words", searched)
+    # _near builds each word's points, so the count refuses before it runs
+    monkeypatch.setattr(hw_group, "_near", searched)
     start = time.perf_counter()
     assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
                                      "of 1000000 elements\n")
@@ -540,12 +548,11 @@ def test_the_up_front_ball_count_refuses_exactly_past_the_budget(monkeypatch):
     for kind, argv in PROBE_ARGV.items():
         n = int(argv[3]) if kind in ("torsion", "center") else 2
         size = len(hw_group.ball(n, 6))
-        monkeypatch.setattr(cli, "DEFAULT_BALL_BUDGET", size)
-        assert run_cli(*argv)[0] == 0, kind
-        monkeypatch.setattr(cli, "DEFAULT_BALL_BUDGET", size - 1)
         with monkeypatch.context() as patch:
-            patch.setattr(hw_group, "_ball_words", None)  # refused before the search
-            patch.setattr(crystal, "_ball_words", None)
+            patch.setattr(hw_group, "DEFAULT_BALL_BUDGET", size)
+            assert run_cli(*argv)[0] == 0, kind
+            patch.setattr(hw_group, "DEFAULT_BALL_BUDGET", size - 1)
+            patch.setattr(hw_group, "_near", None)  # refused before the search
             assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
                                              f"of {size - 1} elements\n"), kind
 
@@ -727,9 +734,12 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
      "set files must contain at least one element each"),
     (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "0"),
      "radius and exponent bound must be at least 1"),
+    # argument errors come before the ball's resource guard
+    (("probe", "torsion", "--n", "4", "--radius", "12", "--kmax", "0"),
+     "radius and exponent bound must be at least 1"),
     (("probe", "injectivity", "--radius", "0"), "radius must be at least 1"),
     (("probe", "center", "--n", "2", "--radius", "0"), "radius must be at least 1"),
-    # at any radius: the up-front ball count is skipped at a rank it never searches
+    # at any radius: the rank is checked before the ball is counted
     (("probe", "fixed-point", "--n", "3", "--radius", "2000"),
      "fixed-point probe runs in the rank-2 matrix model"),
 ])

@@ -466,20 +466,24 @@ def test_ball_size_is_exact_to_the_budget_and_stops_past_it():
     assert hw_group._ball_size(1, 500000) == 1000001
     # rank 0 is the identity at any radius, and a negative radius is empty
     assert (hw_group._ball_size(0, 10**100), hw_group._ball_size(3, -1)) == (1, 0)
-    for n, r in ((4, 9), (4, 12), (30, 4), (706, 2), (2, 10**100), (706, 10**100)):
+    # R is capped at budget // (2n) + 1, so a large n costs O(budget + n)
+    for n, r in ((4, 9), (4, 12), (30, 4), (706, 2), (2, 10**100), (706, 10**100),
+                 (5000, 10000), (20000, 40000), (10**5, 10**6)):
         start = time.perf_counter()
         assert hw_group._ball_size(n, r) > hw_group.DEFAULT_BALL_BUDGET
         assert time.perf_counter() - start < 0.5, (n, r)
 
 
-@pytest.mark.parametrize("n, r", [(1, 10**9), (2, 10**5), (3, 10**4)])
-def test_an_oversized_ball_is_refused_before_its_points_are_built(n, r):
-    # each word is counted before its set is built, so even the identity's
-    # neighbourhood, the first and largest, is never held past the budget
-    start = time.perf_counter()
-    with pytest.raises(BallBudgetError, match="budget of 1000000 elements"):
-        ball(n, r)
-    assert time.perf_counter() - start < 0.5
+@pytest.mark.parametrize("n, r", [(1, 10**9), (2, 10**5), (3, 10**4), (20000, 40000)])
+def test_an_oversized_ball_is_refused_before_its_points_are_built(n, r, monkeypatch):
+    # the whole ball is counted before any set is built, so even the
+    # identity's neighbourhood, the first and largest, is never listed
+    monkeypatch.setattr(hw_group, "_near", None)
+    for search in (lambda: ball(n, r), lambda: torsion_probe(n, r, 2)):
+        start = time.perf_counter()
+        with pytest.raises(BallBudgetError, match="budget of 1000000 elements"):
+            search()
+        assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("n, r", WALK_GRID)
@@ -728,6 +732,15 @@ def test_torsion_probe_keeps_its_refusals(monkeypatch):
     for kmax in (1, 2):
         with pytest.raises(BallBudgetError, match="budget of 3 elements"):
             torsion_probe(2, 2, kmax)
+
+
+def test_torsion_probe_below_kmax_2_only_counts_its_ball(monkeypatch):
+    # the order lemma makes every answer below kmax = 2 empty
+    calls = []
+    honest = hw_group._near
+    monkeypatch.setattr(hw_group, "_near", lambda *args: calls.append(args) or honest(*args))
+    assert torsion_probe(3, 11, 1) == [] and calls == []
+    assert torsion_probe(3, 3, 2) == [] and calls
 
 
 def test_rank_one_center_probe_rejected():

@@ -1,4 +1,5 @@
-"""The paper checks raise VerificationError even under ``python -O``.
+"""The paper checks raise VerificationError even under ``python -O``, and
+the ball bound still refuses an oversized ball.
 
 Each case runs in a fresh ``python -O`` process, tampers one input of a
 check, and expects the check to fire.  pytest rewrites asserts in test
@@ -92,3 +93,15 @@ def test_cli_exits_1_on_verification_error_under_O():
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("verification failed: ")
+
+
+def test_ball_bound_refuses_under_O():
+    # the exact count in hw_group is the only ball check, in the library
+    # and in the CLI alike
+    proc = _run_optimized(
+        "try:\n    hw_group.ball(2, 10**5)\n"
+        "except hw_group.BallBudgetError as exc:\n    print('raised:', exc)\n"
+        "sys.exit(cli.main(['probe', 'center', '--n', '4', '--radius', '9']))\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "raised: ball exceeds budget of 1000000 elements\n"
+    assert proc.stderr == "resource guard: ball exceeds budget of 1000000 elements\n"
