@@ -734,14 +734,14 @@ def test_pinned_output(argv, code, fake, stdout, tmp_path, monkeypatch):
      "set files must contain at least one element each"),
     (("probe", "torsion", "--n", "2", "--radius", "1", "--kmax", "0"),
      "radius and exponent bound must be at least 1"),
-    # argument errors come before the ball's resource guard
-    (("probe", "torsion", "--n", "4", "--radius", "12", "--kmax", "0"),
-     "radius and exponent bound must be at least 1"),
     (("probe", "injectivity", "--radius", "0"), "radius must be at least 1"),
     (("probe", "center", "--n", "2", "--radius", "0"), "radius must be at least 1"),
     # at any radius: the rank is checked before the ball is counted
     (("probe", "fixed-point", "--n", "3", "--radius", "2000"),
      "fixed-point probe runs in the rank-2 matrix model"),
+    # argument errors come before the ball's resource guard
+    (("probe", "torsion", "--n", "4", "--radius", "12", "--kmax", "0"),
+     "radius and exponent bound must be at least 1"),
 ])
 def test_refusals_name_their_bound(argv, message, tmp_path):
     files = _set_files(tmp_path)
