@@ -15,10 +15,14 @@ inverse.
 Pushing tau(s) through lift(v) twists s by sigma_v (word_sign_action), so
 lift(u) tau(s) * lift(v) tau(t) = [lift(u) * lift(v)] tau(sigma_v(s) + t)
 (the free-product normal form of W_n; Lyndon and Schupp, ch. IV).  The
-word kernel ``_mul_words`` computes lift(u) * lift(v) on raw tuples, and
-``products`` of two sets calls it once per distinct word pair (u, v) and
-yields raw (w, t) pairs, which ``group_ring`` counts as tuples and wraps
-once per distinct product.
+word kernel ``_mul_words`` computes lift(u) * lift(v) = lift(w) tau(c)
+on raw tuples, returning u + v and c = 0 at once when the pair does not
+cancel (u[-1] != v[0]).  ``products`` of two sets calls it once per
+distinct word pair (u, v).  It groups the distinct words of ys into sign
+classes (equal sigma_v), twists each x's s once per class, adds c to
+that twist only where c != 0, and so builds each pair with one vector
+add; it yields raw (w, t) pairs, which ``group_ring`` counts as tuples
+and wraps once per distinct product.
 ``_ball_words`` lists the Cayley ball as {word: lattice parts} by the
 exact word metric, one box per word, once ``_check_ball`` has counted
 the ball (``_ball_size``) within ``DEFAULT_BALL_BUDGET``: the one ball
@@ -217,26 +221,28 @@ def _mul_words(u: Tuple[int, ...], v: Tuple[int, ...],
     tuples.
 
     The first k letters of v cancel the last k of u, letter by letter;
-    then the word only grows, since v is reduced.  The j-th cancelling
-    letter i leaves the unit e_i, and each later letter l of v negates
-    it unless l = i, by the sign rule of x_l.  The parity of i's
-    count among the later letters is walked back from the end of v once,
-    so the cancel loop costs O(m + n) whatever k is, and nothing when
-    k = 0.
+    then the word only grows, since v is reduced.  When k = 0 (u or v
+    empty, or u[-1] != v[0]) the pair is u + v and the zero vector at
+    once.  Otherwise the j-th cancelling letter i leaves the unit e_i,
+    and each later letter l of v negates it unless l = i, by the sign
+    rule of x_l.  The parity of i's count among the later letters is
+    walked back from the end of v once, so the cancel loop costs
+    O(m + n) whatever k is.
     """
+    if not u or not v or u[-1] != v[0]:
+        return u + v, (0,) * n
     top, m = len(u), len(v)
     k = 0
     while k < top and k < m and u[top - 1 - k] == v[k]:
         k += 1
     c = [0] * n
-    if k:
-        odd = [0] * (n + 1)  # odd[i]: parity of i's count in v[j + 1:]
-        for i in v[k:]:
-            odd[i] ^= 1
-        for j in range(k - 1, -1, -1):
-            i = v[j]
-            c[i - 1] += -1 if (m - 1 - j - odd[i]) % 2 else 1
-            odd[i] ^= 1
+    odd = [0] * (n + 1)  # odd[i]: parity of i's count in v[j + 1:]
+    for i in v[k:]:
+        odd[i] ^= 1
+    for j in range(k - 1, -1, -1):
+        i = v[j]
+        c[i - 1] += -1 if (m - 1 - j - odd[i]) % 2 else 1
+        odd[i] ^= 1
     return u[:top - k] + v[k:], tuple(c)
 
 
@@ -248,9 +254,14 @@ def products(xs: Iterable[GroupElement], ys: Iterable[GroupElement]
     With x = lift(u) tau(s), y = lift(v) tau(t) and lift(u) * lift(v) =
     lift(w) tau(c), x * y = lift(w) tau(c + sigma_v(s) + t).  Each distinct
     word pair goes through the word kernel once, and the row of u's
-    products is kept only until the last x with word u.  The pairs are
-    the fields of each product's normal form, unwrapped, so a caller can
-    count them as plain tuples and wrap each distinct product once.
+    products is kept only until the last x with word u.  sigma_v is a
+    sign vector, so the distinct words of ys fall into sign classes
+    (equal sigma_v), and each x twists s once per class.  The base of
+    (x, v) is that twist, plus c only where c != 0, which takes a word
+    pair that cancels; each pair then costs one vector add, base + t.
+    The pairs are the fields of each product's normal form, unwrapped,
+    so a caller can count them as plain tuples and wrap each distinct
+    product once.
     """
     xs, ys = list(xs), list(ys)
     ranks = {g.n for g in xs + ys}
@@ -259,21 +270,28 @@ def products(xs: Iterable[GroupElement], ys: Iterable[GroupElement]
     n = ranks.pop() if ranks else 0
     ones = (1,) * n
     column: dict = {}
-    # Each y as (its word's column, sigma_v as a sign vector, t).
-    cols = [(column.setdefault(y.w, len(column)), word_sign_action(y.w, ones), y.t)
-            for y in ys]
+    cols = [(column.setdefault(y.w, len(column)), y.t) for y in ys]
+    sign_class: dict = {}
+    # Each distinct word of ys as the index of its sign class sigma_v.
+    classes = [sign_class.setdefault(word_sign_action(v, ones), len(sign_class))
+               for v in column]
     last = {x.w: i for i, x in enumerate(xs)}
     rows = {}
     for i, x in enumerate(xs):
         row = rows.get(x.w)
         if row is None:
-            row = rows[x.w] = [_mul_words(x.w, v, n) for v in column]
+            pairs = [_mul_words(x.w, v, n) for v in column]
+            # The words w per column, and c, None where it is zero.
+            row = rows[x.w] = ([w for w, _ in pairs],
+                               [c if any(c) else None for _, c in pairs])
         if last[x.w] == i:
             del rows[x.w]
+        words, cs = row
         s = x.t
-        for j, signs, t in cols:
-            w, c = row[j]
-            yield w, tuple(map(add, map(add, c, map(mul, signs, s)), t))
+        twists = [tuple(map(mul, signs, s)) for signs in sign_class]
+        bases = [twists[k] if c is None else tuple(map(add, c, twists[k]))
+                 for c, k in zip(cs, classes)]
+        yield from [(words[j], tuple(map(add, bases[j], t))) for j, t in cols]
 
 
 _ATOM = re.compile(r"x(\d+)(?:\^(-?\d+))?$")

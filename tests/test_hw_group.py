@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hwgroups import hw_group
 from hwgroups.hw_group import (
@@ -808,6 +808,25 @@ def _set_pair(draw):
     return sides
 
 
+def _element_list(*pairs):
+    return [GroupElement(w, t) for w, t in pairs]
+
+
+# Hand-picked cases for the sign classes and the cancel-free pairs:
+# the words x1 x2 and x2 x1 of rank 3 share one sign class (both negate
+# coordinates 1 and 2); the row of x1 x2 holds cancelling pairs (with
+# x2 x1 and x2) and a cancel-free one (with x1); the identity stands
+# on either side; n = 0; entries past 2^70.
+@example([_element_list(((1,), (1, 2, 3)), ((1, 2), (-4, 0, 7))),
+          _element_list(((1, 2), (0, 1, 0)), ((2, 1), (5, 0, -1)), ((1, 2), (2, 2, 2)))])
+@example([_element_list(((1, 2), (3, -1, 2)), ((2, 1), (0, 0, 1))),
+          _element_list(((2, 1), (1, 1, 1)), ((1,), (0, 2, 0)), ((2,), (-3, 0, 5)),
+                        ((1, 3), (0, 0, 0)))])
+@example([[identity(2), GroupElement((2, 1), (1, -1))],
+          [GroupElement((1,), (0, 3)), identity(2), GroupElement((1, 2), (2, 0))]])
+@example([[identity(0)], [identity(0), identity(0)]])
+@example([_element_list(((1, 2), (2**70 + 1, -(2**71) - 5)), ((2,), (-(2**80), 3))),
+          _element_list(((2, 1), (2**75, 1)), ((1,), (0, 2**70 + 1)), ((), (-(2**70), 0)))])
 @settings(derandomize=True, database=None)
 @given(_set_pair())
 def test_products_match_the_pairwise_multiply(sides):
@@ -845,3 +864,21 @@ def test_products_multiply_once_per_distinct_word_pair(monkeypatch):
     ys = [parse_element(text, 2) for text in ("x2", "x2^-1")]
     assert len(list(products(xs, ys))) == 10
     assert calls == [((1,), (2,)), ((2, 1), (2,))]
+
+
+def test_products_find_the_sign_action_once_per_distinct_word_of_ys(monkeypatch):
+    calls = []
+    honest = hw_group.word_sign_action
+
+    def counted(w, t):
+        calls.append(w)
+        return honest(w, t)
+
+    monkeypatch.setattr(hw_group, "word_sign_action", counted)
+    # seven ys over three words, against two xs
+    xs = [parse_element(text, 3) for text in ("x1", "x3 x2")]
+    ys = [parse_element(text, 3)
+          for text in ("x1 x2", "x2 x1", "x1^3 x2", "", "x2^-1 x1", "x1 x2^3", "x2^2")]
+    got = list(products(xs, ys))
+    assert got == [(g.w, g.t) for g in (multiply(x, y) for x in xs for y in ys)]
+    assert calls == [(1, 2), (2, 1), ()]
