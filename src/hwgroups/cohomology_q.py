@@ -15,6 +15,7 @@ series, so this module imports only ``exact_algebra``.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from . import VerificationError, _Value
@@ -30,13 +31,17 @@ __all__ = [
 
 
 class Character(_Value):
-    """Sign vector in {+1,-1}^n encoding a one-dimensional module."""
+    """Sign vector in {+1,-1}^n encoding a one-dimensional module.
+
+    Entries are read with ``operator.index``: a float, a ``Fraction`` or
+    a str raises TypeError.
+    """
 
     __slots__ = ()
     _fields = ("eps",)
 
     def __new__(cls, eps: Sequence[int]) -> "Character":
-        eps = tuple(int(v) for v in eps)
+        eps = tuple(map(index, eps))
         if any(v not in (1, -1) for v in eps):
             raise ValueError("character entries must be +-1")
         return tuple.__new__(cls, (eps,))

@@ -20,21 +20,28 @@ subgroups and is exposed as rn_action.  It is read off the normal form
 in one pass, from hw_group's word_sign_action and inverse, with no
 isometry composed per letter.
 
-The probes read the ball word by word from hw_group's ``_ball_words``,
-in canonical order, and compose each word's letters once, in Fractions;
-then they work on integers: every translation of the model lies in
-(1/2)Z, so an image is a sign vector and a doubled translation.  The
-injectivity probe keys on that pair, and the fixed-point probe tests it
-directly; only a finding is built as an element and a rational point.
+The probes walk the ball word by word with hw_group's ``_walk``, in
+canonical order, and read each word's letter product on integers: A and
+B are doubled once per call (every translation of the model lies in
+(1/2)Z), and a word's signs S and doubled translation a then take
+O(|w|) steps.  lift(w) tau(t) maps to v -> S v + (a + 2 S t') / 2, with
+t' = (t_1, t_2, 0), which is affine in t.  So the fixed-point probe
+solves each word's condition and lists only its solutions near the
+word's box, each confirmed by ``fixed_points`` of ``g2_isometry``; and
+the injectivity probe compares points only between words that share
+(S, a_3, a_1 mod 2, a_2 mod 2), since the map is injective on each
+word.  Only a finding is built as an element and a rational point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import VerificationError, _Value
-from .hw_group import GroupElement, _ball_words, _element, inverse, word_sign_action
+from .hw_group import (GroupElement, _element, _near, _near_pinned, _walk, element_sort_key,
+                       inverse, word_sign_action)
 
 __all__ = [
     "AffineIsometry",
@@ -198,29 +205,53 @@ def g2_isometry(g: GroupElement) -> AffineIsometry:
     return out @ AffineIsometry.translation_by((g.t[0], g.t[1], 0))
 
 
-def _g2_ball(r: int) -> Iterator[tuple]:
-    """The rank-2 ball of radius r in canonical order: each raw (w, t) with
-    the signs and the doubled translation of its g2_isometry, as integers.
-
-    Each word's letter product (S, a) is composed once, in Fractions;
-    lift(w) tau(t) then maps to (S, a + S (t_1, t_2, 0)).  Raises
-    VerificationError if a letter product leaves the half-integers.
-    """
-    words = _ball_words(2, r)
-    for w in sorted(words, key=lambda w: (len(w), w)):
-        iso = g2_isometry(GroupElement(w, (0, 0)))
-        doubled = [2 * v for v in iso.translation]
+def _doubled_generators() -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """A and B of ``gamma3_generators()`` as (signs, doubled translation)
+    on integers; VerificationError if a translation leaves (1/2)Z."""
+    letters = []
+    for name, gen in zip("AB", gamma3_generators()):
+        doubled = [2 * v for v in gen.translation]
         if any(v.denominator != 1 for v in doubled):
-            raise VerificationError(f"the letter product of word {w} translates off (1/2)Z")
-        (a1, a2, a3), (s1, s2, _) = map(int, doubled), iso.signs
-        for t in sorted(words[w]):
-            yield (w, t), iso.signs, (a1 + 2 * s1 * t[0], a2 + 2 * s2 * t[1], a3)
+            raise VerificationError(f"generator {name} translates off (1/2)Z")
+        letters.append((gen.signs, tuple(map(int, doubled))))
+    return letters
 
 
-def _fixes_a_point(signs: Sequence[int], doubled: Sequence[int]) -> bool:
-    """Whether v -> S v + doubled / 2 has a fixed point: a sign -1 always
-    solves its coordinate, and a sign +1 only when its translation is 0."""
-    return not any(d for s, d in zip(signs, doubled) if s == 1)
+def _g2_word(w: Sequence[int], letters) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The signs S and the doubled translation a of w's letter product in
+    the model, in O(|w|) on integers: (S, a) then (T, b) is (ST, S b + a)."""
+    signs, doubled = (1, 1, 1), (0, 0, 0)
+    for letter in w:
+        t, b = letters[letter - 1]
+        doubled = tuple(a + s * v for a, s, v in zip(doubled, signs, b))
+        signs = tuple(map(mul, signs, t))
+    return signs, doubled
+
+
+def _g2_words(r: int) -> Iterator[tuple]:
+    """The words of the rank-2 ball of radius r in canonical order, each as
+    (w, B(w), R, S, a): the walk's box and radius, then the signs and the
+    doubled translation of w's letter product.  lift(w) tau(t) maps to
+    v -> S v + (a + 2 S t') / 2, with t' = (t_1, t_2, 0)."""
+    walk = sorted(_walk(2, r), key=lambda word: (len(word[0]), word[0]))
+    letters = _doubled_generators()
+    for w, box, R in walk:
+        yield (w, box, R, *_g2_word(w, letters))
+
+
+def _fixed_pins(signs: Sequence[int], doubled: Sequence[int]) -> Optional[List[Optional[int]]]:
+    """The t = (t_1, t_2) for which S v + (a + 2 S t') / 2 fixes a point,
+    solved: where s_k = +1, a_k + 2 t'_k = 0 pins t_k = -a_k / 2 (k <= 2)
+    or needs a_3 = 0, and s_k = -1 leaves t_k free.  None if no t solves
+    it."""
+    if signs[2] == 1 and doubled[2]:
+        return None
+    pins: List[Optional[int]] = []
+    for s, a in zip(signs, doubled[:2]):
+        if s == 1 and a % 2:
+            return None
+        pins.append(-a // 2 if s == 1 else None)
+    return pins
 
 
 def rn_isometry(g: GroupElement) -> AffineIsometry:
@@ -278,14 +309,16 @@ def fixed_point_probe(n: int, r: int) -> List[Tuple[GroupElement, Tuple[Fraction
     if r < 1:
         raise ValueError("radius must be at least 1")
     found = []
-    for wt, signs, doubled in _g2_ball(r):
-        if _fixes_a_point(signs, doubled) and wt != ((), (0, 0)):
-            g = _element(wt)
-            point = fixed_points(g2_isometry(g))
-            if point is None:
-                raise VerificationError(
-                    f"the integer test finds a fixed point of {g}, fixed_points none")
-            found.append((g, point))
+    for w, box, R, signs, doubled in _g2_words(r):
+        pins = _fixed_pins(signs, doubled)
+        for t in [] if pins is None else sorted(_near_pinned(box, R, pins)):
+            if w or any(t):
+                g = _element((w, t))
+                point = fixed_points(g2_isometry(g))
+                if point is None:
+                    raise VerificationError(
+                        f"the integer solve finds a fixed point of {g}, fixed_points none")
+                found.append((g, point))
     return found
 
 
@@ -294,13 +327,26 @@ def injectivity_probe(r: int) -> List[Tuple[GroupElement, GroupElement]]:
 
     Returns pairs (the first ball element with an image, a later one with
     the same image) in canonical order; expected empty at every radius.
+    The image of lift(w) tau(t) keeps S, a_3 and the parities of a_1 and
+    a_2, and for a fixed w it is injective in t.  So only words that
+    share that key can collide, and only their points are compared.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
-    images: Dict[tuple, tuple] = {}
+    classes: Dict[tuple, list] = {}
+    for word in _g2_words(r):
+        signs, doubled = word[3:]
+        classes.setdefault((signs, doubled[2], doubled[0] % 2, doubled[1] % 2), []).append(word)
     collisions: List[Tuple[GroupElement, GroupElement]] = []
-    for wt, signs, doubled in _g2_ball(r):
-        other = images.setdefault((signs, doubled), wt)
-        if other is not wt:
-            collisions.append((_element(other), _element(wt)))
+    for members in classes.values():
+        if len(members) < 2:
+            continue  # one word's points have distinct images
+        images: Dict[tuple, tuple] = {}
+        for w, box, R, (s1, s2, _), (a1, a2, _) in members:
+            for t in sorted(_near(box, R)):
+                wt = (w, t)
+                first = images.setdefault((a1 + 2 * s1 * t[0], a2 + 2 * s2 * t[1]), wt)
+                if first is not wt:
+                    collisions.append((_element(first), _element(wt)))
+    collisions.sort(key=lambda pair: element_sort_key(pair[1]))
     return collisions

@@ -15,6 +15,7 @@ and allocation-cheap; no floating point is used anywhere.
 
 from __future__ import annotations
 
+from operator import index
 from typing import List, Sequence, Union
 
 from . import VerificationError, _Value
@@ -30,14 +31,15 @@ class IntPolynomial(_Value):
 
     The coefficient tuple carries no trailing zeros, so equality of
     values is equality of tuples.  The zero polynomial has an empty
-    tuple and degree -1 (the sentinel).
+    tuple and degree -1 (the sentinel).  Coefficients are read with
+    ``operator.index``: a float, a ``Fraction`` or a str raises TypeError.
     """
 
     __slots__ = ()
     _fields = ("coeffs",)
 
     def __new__(cls, coeffs: Sequence[int] = ()) -> "IntPolynomial":
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(map(index, coeffs))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

@@ -23,13 +23,17 @@ classes (equal sigma_v), twists each x's s once per class, adds c to
 that twist only where c != 0, and so builds each pair with one vector
 add; it yields raw (w, t) pairs, which ``group_ring`` counts as tuples
 and wraps once per distinct product.
-``_ball_words`` lists the Cayley ball as {word: lattice parts} by the
-exact word metric, one box per word, once ``_check_ball`` has counted
-the ball (``_ball_size``) within ``DEFAULT_BALL_BUDGET``: the one ball
-bound, which ``ball``, the probes and the CLI share.  ``ball`` wraps
-the map; the probes test each word once, its lattice parts only if it
-passes, and build only a finding.  A ``GroupElement`` is the pair (w, t)
-as a ``_Value``, built and hashed in C; the unchecked constructor
+``_walk`` goes over the Cayley ball word by word by the exact word
+metric, yielding each word with its box and radius, once ``_check_ball``
+has counted the ball (``_ball_size``) within ``DEFAULT_BALL_BUDGET``: the
+one ball bound, which ``ball``, the probes and the CLI share.  ``ball``
+wraps the points near each box.  The probes build no point of a word
+that cannot pass: for a fixed word, a probe's condition on t is affine
+and splits by coordinate, so each word that passes its word test has
+its lattice test solved (``_square_roots``, ``_central_roots``), and only
+the solutions near its box are listed, each confirmed by the
+per-element test.  A ``GroupElement`` is the pair (w, t) as a
+``_Value``, built and hashed in C; the unchecked constructor
 ``_element`` maps over raw pairs with no Python frame per element.
 
 Importing this module loads no other module of the package: its errors,
@@ -48,8 +52,8 @@ import sys
 from functools import partial
 from itertools import chain, product, repeat
 from math import prod
-from operator import add, mul
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from operator import add, index, mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import (DEFAULT_BALL_BUDGET, BallBudgetError, ElementSyntaxError,
                VerificationError, _Value, decimal_text)
@@ -82,15 +86,17 @@ class GroupElement(_Value):
 
     A ``_Value`` with the fields (w, t): w is the reduced word, a tuple
     of letters 1..n, and t the lattice exponent vector, a tuple of n
-    ints.  It has no order; sort with ``element_sort_key``.
+    ints.  Entries are read with ``operator.index``, so a float, a
+    ``Fraction`` or a str raises TypeError rather than being truncated.
+    It has no order; sort with ``element_sort_key``.
     """
 
     __slots__ = ()
     _fields = ("w", "t")
 
     def __new__(cls, w: Sequence[int], t: Sequence[int]) -> "GroupElement":
-        w = tuple(int(i) for i in w)
-        t = tuple(int(v) for v in t)
+        w = tuple(map(index, w))
+        t = tuple(map(index, t))
         n = len(t)
         prev = 0
         for letter in w:
@@ -462,7 +468,7 @@ def _ball_size(n: int, r: int) -> int:
     """The number of elements of ``ball(n, r)``, or a partial sum once it
     passes ``DEFAULT_BALL_BUDGET``.
 
-    A word's box has sides occ_k(w) + 1 (``_ball_words``), so words count
+    A word's box has sides occ_k(w) + 1 (``_walk``), so words count
     through their letter counts alone, and a layer of words is a map
     {(the sorted counts of all letters but the last, the last letter's
     count): number of words}.  R is capped at C = budget // (2n) + 1, so
@@ -500,9 +506,11 @@ def _check_ball(n: int, r: int) -> None:
         raise BallBudgetError(f"ball exceeds budget of {DEFAULT_BALL_BUDGET} elements")
 
 
-def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
-    """The ball of radius r as {word: set of its lattice parts}, the
-    empty word's set holding the identity's zero vector.
+def _walk(n: int, r: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[range, ...], int]]:
+    """The ball of radius r word by word, once ``_check_ball`` admits it:
+    (w, B(w), R) for every reduced word w of length at most r, with its
+    box B(w) as ranges and R = floor((r - |w|) / 2), so that w's elements
+    are lift(w) tau(t) for the points t of ``_near(B(w), R)``.
 
     For w reduced, |lift(w) tau(t)| = |w| + 2 d_1(t, B(w)), d_1 the L1
     distance to the box B(()) = {0}, B(w l) = sigma_l B(w) + [-1, 0] e_l.
@@ -517,33 +525,51 @@ def _ball_words(n: int, r: int) -> "dict[Tuple[int, ...], set]":
     actions keep the norm, and the other L - 2 letters spell g tau(-f).
     At L = |w| the letters spell w, one sign each, so t is in B(w); by
     induction d_1(t, B(w)) <= (L - |w|) / 2.
-    The walk goes depth first over the reduced words of length at most r
-    with the box as ranges: appending l maps [lo, hi] to [-hi, -lo] off
-    coordinate l and widens coordinate l to [lo - 1, hi].  A word's set is
-    the points ``_near`` its box, within R = floor((r - |w|) / 2), each
-    once: no visited set, no frontier.  ``_check_ball`` refuses the ball
-    first, so the map never holds more than the bound.
+    The walk goes depth first with the box as ranges: appending l maps
+    [lo, hi] to [-hi, -lo] off coordinate l and widens coordinate l to
+    [lo - 1, hi].  Each element is one (w, t), so no visited set and no
+    frontier is kept.  The bound is checked at the first step, before
+    anything is yielded.
     """
     _check_ball(n, r)
-    words, stack = {}, [((), (range(1),) * n)]
+    stack = [((), (range(1),) * n)]
     while stack:
         w, box = stack.pop()
-        words[w] = set(_near(box, (r - len(w)) // 2))
+        yield w, box, (r - len(w)) // 2
         if len(w) < r:
             twisted = [range(1 - s.stop, 1 - s.start) for s in box]
-            stack += [(w + (k,), (*twisted[:k - 1], range(s.start - 1, s.stop), *twisted[k:]))
-                      for k, s in enumerate(box, 1) if not w or w[-1] != k]
-    return words
+            last = w[-1] - 1 if w else -1
+            for k, s in enumerate(box):
+                if k != last:  # w x_(k+1): widen side k of the twisted box, copy, restore
+                    keep, twisted[k] = twisted[k], range(s.start - 1, s.stop)
+                    stack.append((w + (k + 1,), tuple(twisted)))
+                    twisted[k] = keep
 
 
 def ball(n: int, r: int) -> "set[GroupElement]":
-    """All products of at most r generators x_i^{+-1}: ``_ball_words(n, r)``
-    with each element wrapped once, freeing each word's lattices as it goes."""
-    seen = _ball_words(n, r)
+    """All products of at most r generators x_i^{+-1}: each word of the
+    walk wrapped with the points near its box, each element once."""
     out = set()
-    while seen:
-        w, lattices = seen.popitem()
-        out.update(map(_element, zip(repeat(w), lattices)))
+    for w, box, R in _walk(n, r):
+        out.update(map(_element, zip(repeat(w), _near(box, R))))
+    return out
+
+
+def _near_pinned(box: Tuple[range, ...], R: int,
+                 pins: Sequence[Optional[int]]) -> List[Tuple[int, ...]]:
+    """The points of ``_near(box, R)`` with t_k = pins[k] wherever pins[k]
+    is not None: the pinned coordinates spend their distance to the box,
+    and the free ones range over ``_near`` of their sides with the rest.
+    With every coordinate pinned this is one membership test."""
+    spent = sum(max(side[0] - v, 0, v - side[-1])
+                for side, v in zip(box, pins) if v is not None)
+    if spent > R:
+        return []
+    free = [side for side, v in zip(box, pins) if v is None]
+    out = []
+    for point in _near(free, R - spent):
+        values = iter(point)
+        out.append(tuple(next(values) if v is None else v for v in pins))
     return out
 
 
@@ -561,6 +587,26 @@ def _squares_to_identity(w: Tuple[int, ...], n: int):
     return lambda t: not any(h + e * v + v for h, e, v in zip(c, signs, t))
 
 
+def _square_roots(w: Tuple[int, ...], n: int) -> Optional[List[Optional[int]]]:
+    """The t with (lift(w) tau(t))^2 = e, solved: t_k pinned or None where
+    free, per coordinate; None if no t solves it.
+
+    With lift(w) * lift(w) = lift(w') tau(c), w' must be empty, and then
+    c + sigma_w(t) + t = 0 splits by coordinate: where sigma_k = -1 it
+    needs c_k = 0 and leaves t_k free, and where sigma_k = +1 it needs
+    c_k even and pins t_k = -c_k / 2.
+    """
+    square, c = _mul_words(w, w, n)
+    if square:
+        return None
+    pins: List[Optional[int]] = []
+    for h, e in zip(c, word_sign_action(w, (1,) * n)):
+        if e < 0 and h or e > 0 and h % 2:
+            return None
+        pins.append(None if e < 0 else -h // 2)
+    return pins
+
+
 def _commutes_with(w: Tuple[int, ...], i: int, n: int):
     """The test t -> [lift(w) tau(t) commutes with x_i], or None if it
     fails for every t.
@@ -576,6 +622,36 @@ def _commutes_with(w: Tuple[int, ...], i: int, n: int):
     return lambda t: all(a + e * v == b + v for a, e, b, v in zip(c1, signs, c2, t))
 
 
+def _central_roots(w: Tuple[int, ...], n: int) -> Optional[List[Optional[int]]]:
+    """The t with lift(w) tau(t) central, solved as in ``_square_roots``.
+
+    For each generator x_i the words of lift(w) x_i and x_i lift(w) must
+    agree, and then c1 + sigma_i(t) = c2 + t (``_commutes_with``) needs
+    c1_i = c2_i and pins t_k = (c1_k - c2_k) / 2, an integer, for k != i.
+    For n >= 2 each coordinate is pinned by some generator, and the
+    generators must pin it alike.
+    """
+    pins: List[Optional[int]] = [None] * n
+    for i in range(1, n + 1):
+        (w1, c1), (w2, c2) = _mul_words(w, (i,), n), _mul_words((i,), w, n)
+        if w1 != w2:
+            return None
+        for k, (a, b) in enumerate(zip(c1, c2)):
+            if k == i - 1:
+                if a != b:
+                    return None
+            elif (a - b) % 2 or pins[k] not in (None, (a - b) // 2):
+                return None
+            else:
+                pins[k] = (a - b) // 2
+    return pins
+
+
+def _refuted(g: GroupElement, claim: str) -> VerificationError:
+    return VerificationError(f"the word solve finds {format_element(g)} {claim}, "
+                             "which its per-element test refutes")
+
+
 def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     """Nontrivial ball elements with g^k = identity for some k <= kmax,
     each paired with its order.
@@ -587,21 +663,33 @@ def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
     g^2 = tau(v) in the lattice.  If v != 0 no power of g is e: the even
     powers are tau(m v), and the odd powers keep the word w, or are
     tau(k t) when w is empty.  So the order of a torsion element is 2,
-    whatever kmax is.  Each distinct word is squared once by the word
-    kernel; only the lattice parts of a word with w^2 = 1 in W_n are
-    then tested, by one signed vector sum each.  Below kmax = 2 the
-    answer is empty, so the ball is only counted against the bound.
+    whatever kmax is.  Each word of the walk is squared once by the word
+    kernel, and the lattice parts with square e are solved for
+    (``_square_roots``), not searched: only the solutions near the word's
+    box are listed, and each goes through the per-element test, which
+    must confirm it.  Below kmax = 2 the answer is empty, so the ball is
+    only counted against the bound.
     """
     if r < 1 or kmax < 1:
         raise ValueError("radius and exponent bound must be at least 1")
     if kmax < 2:
         _check_ball(n, r)
         return []
-    words = _ball_words(n, r)
-    words[()].remove((0,) * n)  # the identity is no finding
-    found = [(_element((w, t)), 2) for w, lattices in words.items()
-             if lattices and (squares_to_e := _squares_to_identity(w, n))
-             for t in lattices if squares_to_e(t)]
+    found = []
+    for w, box, R in _walk(n, r):
+        if not (w or n and R):
+            continue  # the identity is the word's only element, and no finding
+        pins = _square_roots(w, n)
+        if pins is None:
+            continue
+        points = [t for t in _near_pinned(box, R, pins) if w or any(t)]
+        if points:
+            squares_to_e = _squares_to_identity(w, n)
+            for t in points:
+                g = _element((w, t))
+                if squares_to_e is None or not squares_to_e(t):
+                    raise _refuted(g, "of order 2")
+                found.append((g, 2))
     found.sort(key=lambda pair: element_sort_key(pair[0]))
     return found
 
@@ -609,23 +697,22 @@ def torsion_probe(n: int, r: int, kmax: int) -> List[Tuple[GroupElement, int]]:
 def center_probe(n: int, r: int) -> List[GroupElement]:
     """Nontrivial ball elements commuting with every generator.
 
-    Expected empty: the center is trivial for n >= 2.  Each distinct
-    word walks the generators in order through the word kernel and stops
-    at the first x_i whose two products with lift(w) have different
-    words: no element with that word is central.  Only the lattice parts
-    of a word that passes every generator are tested, by one vector
-    comparison per generator.
+    Expected empty: the center is trivial for n >= 2.  Each word of the
+    walk goes through the generators in order by the word kernel and
+    stops at the first x_i whose two products with lift(w) have different
+    words: no element with that word is central.  For a word that passes
+    every generator, the lattice parts are solved for (``_central_roots``),
+    which pins all of t, and a solution near the word's box goes through
+    the per-generator tests, which must confirm it.
     """
     if n < 2:
         raise ValueError("center probe needs n >= 2")
     if r < 1:
         raise ValueError("radius must be at least 1")
-    words = _ball_words(n, r)
-    words[()].remove((0,) * n)  # the identity is no finding
     found: List[GroupElement] = []
-    for w, lattices in words.items():
-        if not lattices:
-            continue
+    for w, box, R in _walk(n, r):
+        if not (w or n and R):
+            continue  # the identity is the word's only element, and no finding
         tests = []
         for i in range(1, n + 1):
             commutes = _commutes_with(w, i, n)
@@ -633,6 +720,12 @@ def center_probe(n: int, r: int) -> List[GroupElement]:
                 break
             tests.append(commutes)
         else:
-            found.extend(_element((w, t)) for t in lattices if all(test(t) for test in tests))
+            pins = _central_roots(w, n)
+            for t in [] if pins is None else _near_pinned(box, R, pins):
+                if w or any(t):
+                    g = _element((w, t))
+                    if not all(test(t) for test in tests):
+                        raise _refuted(g, "central")
+                    found.append(g)
     found.sort(key=element_sort_key)
     return found

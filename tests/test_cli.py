@@ -5,7 +5,6 @@ import io
 import json
 import os
 import re
-import resource
 import shlex
 import subprocess
 import sys
@@ -20,6 +19,7 @@ import pytest
 from hwgroups import cli, cohomology_f2, crystal, group_ring, hw_group
 from hwgroups.cli import _check_size, build_parser, main
 from hwgroups.exact_algebra import VerificationError
+from conftest import cpu_time
 
 
 def run_cli(*argv):
@@ -470,19 +470,14 @@ def test_torsion_probe_below_kmax_2_answers_at_once():
     assert (code, out, err) == (0, "probe=torsion n=3 radius=11 kmax=1 findings: 0\n", "")
 
 
-def _children_cpu_s():
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def test_the_largest_admitted_center_probe_answers_within_a_second():
     # n = 706 is the largest rank the size check admits for a probe.  The
     # bound is on the child's own CPU time, user + sys, which load on the
     # machine does not stretch as it does the wall clock; _run_process's
     # timeout still catches a hang.
-    before = _children_cpu_s()
-    proc = _run_process("probe", "center", "--n", "706", "--radius", "1")
-    assert _children_cpu_s() - before < 1.0
+    with cpu_time(children=True) as spent:
+        proc = _run_process("probe", "center", "--n", "706", "--radius", "1")
+    assert spent.s < 1.0
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "probe=center n=706 radius=1 findings: 0\n"
 
@@ -496,7 +491,7 @@ PROBE_ARGV = {
 
 
 def test_probe_budget_guard_exits_2(monkeypatch):
-    # Each probe's ball is ``hw_group._ball_words``; shrink its bound to 10.
+    # Each probe walks its ball by ``hw_group._walk``; shrink its bound to 10.
     monkeypatch.setattr(hw_group, "DEFAULT_BALL_BUDGET", 10)
     for argv in PROBE_ARGV.values():
         assert run_cli(*argv) == (2, "", "resource guard: ball exceeds budget "
@@ -504,10 +499,10 @@ def test_probe_budget_guard_exits_2(monkeypatch):
 
 
 def test_probes_take_their_bound_from_ball_alone(monkeypatch):
-    # Each probe reads its ball once from hw_group._ball_words, which
-    # applies the bound, and none wraps the whole ball through ball.
+    # Each probe walks its ball once by hw_group._walk, which applies the
+    # bound, and none wraps the whole ball through ball.
     calls = []
-    honest = hw_group._ball_words
+    honest = hw_group._walk
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
@@ -516,8 +511,8 @@ def test_probes_take_their_bound_from_ball_alone(monkeypatch):
     def wrapped(*args, **kwargs):
         raise AssertionError("a probe called ball")
 
-    monkeypatch.setattr(hw_group, "_ball_words", recorded)
-    monkeypatch.setattr(crystal, "_ball_words", recorded)
+    monkeypatch.setattr(hw_group, "_walk", recorded)
+    monkeypatch.setattr(crystal, "_walk", recorded)
     monkeypatch.setattr(hw_group, "ball", wrapped)
     for kind, argv in PROBE_ARGV.items():
         calls.clear()

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import itertools
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +32,10 @@ from hwgroups.hw_group import (
     parse_element,
 )
 from algebra_reference import solve_rational
+from conftest import cpu_time
+import probe_reference
+from probe_reference import (ball_words, per_point_fixed_point_probe,
+                             per_point_injectivity_probe, plant_center, plant_torsion)
 
 
 def _frac(v):
@@ -265,10 +269,10 @@ def test_rn_isometry_builds_one_isometry(monkeypatch):
 @pytest.mark.parametrize("probe", [injectivity_probe, lambda r: fixed_point_probe(2, r)],
                          ids=["injectivity", "fixed-point"])
 def test_an_oversized_probe_ball_is_refused_before_it_is_built(probe):
-    start = time.perf_counter()
-    with pytest.raises(hw_group.BallBudgetError, match="budget of 1000000 elements"):
+    with cpu_time() as spent, pytest.raises(hw_group.BallBudgetError,
+                                            match="budget of 1000000 elements"):
         probe(10**5)
-    assert time.perf_counter() - start < 0.5
+    assert spent.s < 0.5
 
 
 def test_rn_action_is_linear_in_the_word_and_the_rank():
@@ -281,9 +285,9 @@ def test_rn_action_is_linear_in_the_word_and_the_rank():
             word.append(letter)
     g = GroupElement(word, [rng.randrange(-10**20, 10**20) for _ in range(200)])
     v = [Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 50)) for _ in range(200)]
-    start = time.perf_counter()
-    image = rn_action(g, v)
-    assert time.perf_counter() - start < 0.5
+    with cpu_time() as spent:
+        image = rn_action(g, v)
+    assert spent.s < 0.5
     assert rn_action(inverse(g), image) == tuple(v)
 
 
@@ -298,7 +302,7 @@ def test_fixed_point_probe_matrix_model():
 def _g2_images(elements):
     """Each element with its g2_isometry, whose letter product is
     composed once per distinct word, in Fractions: the path the probes
-    took before they decided on doubled integers."""
+    took before they read words on doubled integers."""
     words = {}
     for g in elements:
         head = words.get(g.w)
@@ -308,46 +312,17 @@ def _g2_images(elements):
 
 
 def _ball_elements(r):
-    """The rank-2 ball the crystal probes read, ``crystal._ball_words``,
-    as elements in canonical order."""
-    return sorted((GroupElement(w, t) for w, lattices in crystal._ball_words(2, r).items()
+    """The rank-2 ball the crystal probes read, the walk, as elements in
+    canonical order."""
+    return sorted((GroupElement(w, t) for w, lattices in ball_words(2, r).items()
                    for t in lattices), key=element_sort_key)
 
 
-def _g2_ball_of(elements, monkeypatch):
-    """``crystal._g2_ball`` on a ball planted as exactly these elements:
-    they come out in canonical order, each with the signs and the doubled
-    translation the probes read."""
-    words = {}
-    for g in elements:
-        words.setdefault(g.w, set()).add(g.t)
-    with monkeypatch.context() as patch:
-        patch.setattr(crystal, "_ball_words", lambda n, r: words)
-        return [(GroupElement(*wt), signs, doubled)
-                for wt, signs, doubled in crystal._g2_ball(1)]
-
-
-def _fraction_fixed_point_probe(r):
-    """The fixed-point probe on Fractions: the oracle for the integer test."""
-    e = identity(2)
-    found = []
-    for g, iso in _g2_images(_ball_elements(r)):
-        if g != e:
-            point = crystal.fixed_points(iso)
-            if point is not None:
-                found.append((g, point))
-    return found
-
-
-def _fraction_injectivity_probe(r):
-    """The injectivity probe keyed on Fraction isometries."""
-    images, collisions = {}, []
-    for g, iso in _g2_images(_ball_elements(r)):
-        if iso in images:
-            collisions.append((images[iso], g))
-        else:
-            images[iso] = g
-    return collisions
+def _integer_image(g):
+    """The signs and doubled translation of g's image, read by the
+    integer reader: (S, a) of its word, then a + 2 S (t_1, t_2, 0)."""
+    signs, a = crystal._g2_word(g.w, crystal._doubled_generators())
+    return signs, (a[0] + 2 * signs[0] * g.t[0], a[1] + 2 * signs[1] * g.t[1], a[2])
 
 
 def _doubled(iso):
@@ -357,40 +332,80 @@ def _doubled(iso):
     return tuple(int(v) for v in doubled)
 
 
+def _solved(pins, t):
+    return pins is not None and all(p is None or p == v for p, v in zip(pins, t))
+
+
+def _plant_fixed_points(patch):
+    # the word solve leaves t free for every word with a reflecting first
+    # coordinate, and fixed_points confirms each such element
+    patch.setattr(crystal, "_fixed_pins",
+                  lambda signs, doubled: [None, None] if signs[0] == -1 else None)
+    patch.setattr(probe_reference, "fixes_a_point", lambda signs, doubled: signs[0] == -1)
+    patch.setattr(crystal, "fixed_points",
+                  lambda iso: iso.translation if iso.signs[0] == -1 else None)
+
+
+def _plant_fixing_generator(patch):
+    # A translated by (0, 1/2, 0) fixes the line v_2 = 1/4, v_3 = 0, so
+    # x1 tau(0, t_2) fixes a point in the model
+    a, b = gamma3_generators()
+    fixing = AffineIsometry(a.signs, (Fraction(0), Fraction(1, 2), Fraction(0)))
+    patch.setattr(crystal, "gamma3_generators", lambda: (fixing, b))
+
+
+def _plant_collisions(patch):
+    # B planted as A: x1 and x2 have one image
+    a, _ = gamma3_generators()
+    patch.setattr(crystal, "gamma3_generators", lambda: (a, a))
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_probes_match_the_per_element_isometry(r, monkeypatch):
     elements = sorted(ball(2, r), key=element_sort_key)
     images = list(_g2_images(elements))
     assert images == [(g, g2_isometry(g)) for g in elements]
     assert _ball_elements(r) == elements
-    assert [(GroupElement(*wt), signs, doubled)
-            for wt, signs, doubled in crystal._g2_ball(r)] == [
-        (g, iso.signs, _doubled(iso)) for g, iso in images]
-    assert fixed_point_probe(2, r) == _fraction_fixed_point_probe(r) == []
-    assert injectivity_probe(r) == _fraction_injectivity_probe(r) == []
-    # Planted findings: every element with a reflecting first coordinate
-    # "fixes" its translation, by the integer test and by fixed_points
-    # alike, and a ball that lists each lattice part twice collides with
-    # itself.
-    _plant_fixed_points(monkeypatch)
-    honest = crystal._ball_words
+    assert [_integer_image(g) for g in elements] == [
+        (iso.signs, _doubled(iso)) for _, iso in images]
+    assert fixed_point_probe(2, r) == per_point_fixed_point_probe(r) == []
+    assert injectivity_probe(r) == per_point_injectivity_probe(r) == []
+    # Planted findings, through the word solve: every element with a
+    # reflecting first coordinate "fixes" its translation.
     with monkeypatch.context() as patch:
-        patch.setattr(crystal, "_ball_words", lambda n, radius: {
-            w: 2 * sorted(lattices) for w, lattices in honest(n, radius).items()})
+        _plant_fixed_points(patch)
         found = fixed_point_probe(2, r)
-        assert found and found == _fraction_fixed_point_probe(r)
-        collisions = injectivity_probe(r)
-        assert collisions == [(g, g) for g in elements]
-        assert collisions == _fraction_injectivity_probe(r)
+        assert found and found == per_point_fixed_point_probe(r)
+        assert [g for g, _ in found] == [g for g, iso in images if iso.signs[0] == -1]
     # With B planted as A, x1 and x2 have one image, so distinct words
-    # collide, in the order of the Fraction oracle.
+    # collide, in the order of the per-point search.
     _plant_collisions(monkeypatch)
     collisions = injectivity_probe(r)
     assert (generator(2, 1), generator(2, 2)) in collisions
-    assert collisions == _fraction_injectivity_probe(r)
+    assert collisions == per_point_injectivity_probe(r)
 
 
-def test_integer_decisions_match_the_rational_model(monkeypatch):
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.sampled_from(
+    [None, _plant_fixed_points, _plant_fixing_generator, _plant_collisions]))
+def test_word_solves_match_the_per_point_model_probes(r, plant):
+    with pytest.MonkeyPatch.context() as patch:
+        if plant is not None:
+            plant(patch)
+        found = fixed_point_probe(2, r)
+        assert found == per_point_fixed_point_probe(r)
+        collisions = injectivity_probe(r)
+        assert collisions == per_point_injectivity_probe(r)
+    # the honest model acts freely and faithfully; each plant is seen
+    if plant is None:
+        assert found == collisions == []
+    elif plant is _plant_collisions:
+        assert collisions
+    else:
+        assert found
+
+
+def test_integer_decisions_match_the_rational_model():
     # Every element of ball(2, 8), which holds the balls of smaller radius,
     # and each of its words again with translations far from the origin.
     rng = random.Random(97)
@@ -398,37 +413,65 @@ def test_integer_decisions_match_the_rational_model(monkeypatch):
     elements += [GroupElement(w, (rng.randrange(-60, 61), rng.randrange(-60, 61)))
                  for w in sorted({g.w for g in elements}) for _ in range(3)]
     keys = set()
-    for g, signs, doubled in _g2_ball_of(elements, monkeypatch):
+    letters = crystal._doubled_generators()
+    for g in elements:
         iso = g2_isometry(g)
-        assert crystal._fixes_a_point(signs, doubled) == (fixed_points(iso) is not None)
-        # the collision key is the isometry itself, doubled, so two keys
-        # are equal exactly when the two isometries are
-        assert (signs, doubled) == (iso.signs, _doubled(iso))
-        keys.add((signs, doubled))
+        signs, doubled = crystal._g2_word(g.w, letters)
+        pins = crystal._fixed_pins(signs, doubled)
+        assert _solved(pins, g.t) == (fixed_points(iso) is not None)
+        # the image read on integers is the isometry itself, doubled, so two
+        # images are equal exactly when the two isometries are
+        image = _integer_image(g)
+        assert image == (iso.signs, _doubled(iso))
+        keys.add(image)
     assert len(keys) == len(set(elements))
-    # Planted translations: every sign pattern, with many zero coordinates,
-    # so that the +1 coordinates are often consistent.
+    # Planted letter products: every sign pattern, with many zero doubled
+    # translations, so that the +1 coordinates are often consistent.
     for _ in range(3000):
         signs = tuple(rng.choice((1, -1)) for _ in range(3))
         doubled = tuple(rng.randrange(-5, 6) if rng.random() < 0.4 else 0 for _ in range(3))
-        iso = AffineIsometry(signs, tuple(Fraction(d, 2) for d in doubled))
-        assert crystal._fixes_a_point(signs, doubled) == (fixed_points(iso) is not None)
+        pins = crystal._fixed_pins(signs, doubled)
+        for t in itertools.product(range(-3, 4), repeat=2):
+            iso = AffineIsometry(signs, tuple(Fraction(a + 2 * s * v, 2) for a, s, v
+                                              in zip(doubled, signs, t + (0,))))
+            assert _solved(pins, t) == (fixed_points(iso) is not None), (signs, doubled, t)
 
 
 def test_integer_probes_refuse_what_the_rational_model_contradicts(monkeypatch):
-    # A letter product off (1/2)Z has no doubled-integer form.
+    # A generator off (1/2)Z has no doubled-integer form.
     a, b = gamma3_generators()
     quarter = AffineIsometry(a.signs, (Fraction(1, 4), Fraction(1, 2), Fraction(0)))
     with monkeypatch.context() as patch:
         patch.setattr(crystal, "gamma3_generators", lambda: (quarter, b))
-        with pytest.raises(VerificationError, match="off"):
+        with pytest.raises(VerificationError, match="translates off"):
             fixed_point_probe(2, 1)
-        with pytest.raises(VerificationError, match="off"):
+        with pytest.raises(VerificationError, match="translates off"):
             injectivity_probe(1)
-    # An integer finding that fixed_points does not confirm is refused.
-    monkeypatch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: True)
+    # A word solve that fixed_points does not confirm is refused.
+    monkeypatch.setattr(crystal, "_fixed_pins", lambda signs, doubled: [None, None])
     with pytest.raises(VerificationError, match="fixed_points"):
         fixed_point_probe(2, 2)
+
+
+def test_model_probes_read_words_not_points():
+    # At the largest radius the bound admits, 211 words stand for 978,697
+    # points.  Each word has an injectivity key of its own, so no point is
+    # compared, and no word's fixed-point system solves.
+    words = list(crystal._g2_words(105))
+    assert len(words) == 211 and sum(len(list(hw_group._near(box, R)))
+                                     for _, box, R, _, _ in words) == 978697
+    keys = {(signs, a[2], a[0] % 2, a[1] % 2) for _, _, _, signs, a in words}
+    assert len(keys) == 211
+    assert [w for w, _, _, signs, a in words if crystal._fixed_pins(signs, a)] == [()]
+    # The per-point probes took 2.28 s and 4.89 s here.  Best of 3, in CPU
+    # seconds.
+    for probe in (lambda: fixed_point_probe(2, 105), lambda: injectivity_probe(105)):
+        times = []
+        for _ in range(3):
+            with cpu_time() as spent:
+                assert probe() == []
+            times.append(spent.s)
+        assert min(times) < 0.1, times
 
 
 def _counting_constructions(monkeypatch):
@@ -445,57 +488,27 @@ def _counting_constructions(monkeypatch):
     return built
 
 
-def _plant_torsion(patch):
-    # x1^2 = e in the word kernel: x1 and x1 tau(k e2) square to e
-    real = hw_group._mul_words
-    patch.setattr(hw_group, "_mul_words", lambda u, v, n: (
-        ((), (0,) * n) if u == v == (1,) else real(u, v, n)))
-
-
-def _plant_center(patch):
-    # x1 x_i = x_i x1 = lift(x1 x_i) in the word kernel: x1 is central
-    real = hw_group._mul_words
-    planted = {}
-    for i in (2, 3):
-        planted[(1,), (i,)] = planted[(i,), (1,)] = ((1, i), (0, 0, 0))
-    patch.setattr(hw_group, "_mul_words", lambda u, v, n: planted.get((u, v)) or real(u, v, n))
-
-
-def _plant_fixed_points(patch):
-    # every element with a reflecting first coordinate "fixes" a point
-    patch.setattr(crystal, "_fixes_a_point", lambda signs, doubled: signs[0] == -1)
-    patch.setattr(crystal, "fixed_points",
-                  lambda iso: iso.translation if iso.signs[0] == -1 else None)
-
-
-def _plant_collisions(patch):
-    # B planted as A: x1 and x2 have one image
-    a, _ = gamma3_generators()
-    patch.setattr(crystal, "gamma3_generators", lambda: (a, a))
-
-
 PROBE_CASES = {
-    # probe: (rank, radius, call, its plant, elements per finding,
-    #         elements built per distinct word)
-    "torsion": (3, 4, lambda r: hw_group.torsion_probe(3, r, 2), _plant_torsion, 1, 0),
-    "center": (3, 4, lambda r: hw_group.center_probe(3, r), _plant_center, 1, 0),
-    "fixed-point": (2, 6, lambda r: fixed_point_probe(2, r), _plant_fixed_points, 1, 1),
-    "injectivity": (2, 6, injectivity_probe, _plant_collisions, 2, 1),
+    # probe: (rank, radius, call, its plant, elements per finding)
+    "torsion": (3, 4, lambda r: hw_group.torsion_probe(3, r, 2), plant_torsion, 1),
+    "center": (3, 4, lambda r: hw_group.center_probe(3, r),
+               lambda patch: plant_center(patch, 3), 1),
+    "fixed-point": (2, 6, lambda r: fixed_point_probe(2, r), _plant_fixed_points, 1),
+    "injectivity": (2, 6, injectivity_probe, _plant_collisions, 2),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PROBE_CASES))
 def test_probes_build_elements_per_word_and_finding_only(kind, monkeypatch):
-    n, r, probe, plant, per_finding, per_word = PROBE_CASES[kind]
-    words = hw_group._ball_words(n, r)
-    size = sum(map(len, words.values()))
+    n, r, probe, plant, per_finding = PROBE_CASES[kind]
+    size = sum(map(len, ball_words(n, r).values()))
     built = _counting_constructions(monkeypatch)
     assert probe(r) == []
-    # hw_group's probes build nothing, crystal's one letter product per word
-    assert len(built) == per_word * len(words) < size
+    # no probe builds an element for a word, the crystal ones included
+    assert built == [] and size > 0
     with monkeypatch.context() as patch:
         plant(patch)
         built.clear()
         findings = probe(r)
     assert findings
-    assert len(built) == per_word * len(words) + per_finding * len(findings)
+    assert len(built) == per_finding * len(findings)

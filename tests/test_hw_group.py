@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import itertools
 import random
-import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +10,7 @@ from hwgroups import hw_group
 from hwgroups.hw_group import (
     BallBudgetError,
     ElementSyntaxError,
+    VerificationError,
     GroupElement,
     abelianization_invariants,
     abelianize,
@@ -31,6 +32,15 @@ from hwgroups.hw_group import (
     word_sign_action,
 )
 from algebra_reference import abelianization_relation_matrix, pivot_smith_form
+from conftest import cpu_time
+from probe_reference import (
+    ball_words,
+    bfs_ball_words,
+    per_point_center_probe,
+    per_point_torsion_probe,
+    plant_center,
+    plant_torsion,
+)
 
 
 def _random_element(rng, n, length=6):
@@ -255,12 +265,12 @@ def test_parse_and_inverse_are_linear_in_the_word(n):
     # 20,000 atoms of odd exponent: at n = 2000 an O(n) sign update per
     # letter makes 4 * 10^7 negations.
     text = _long_atoms(n, 20000, n)
-    start = time.perf_counter()
-    g = parse_element(text, n)
-    assert time.perf_counter() - start < 1.0
-    start = time.perf_counter()
-    h = inverse(g)
-    assert time.perf_counter() - start < 1.0
+    with cpu_time() as spent:
+        g = parse_element(text, n)
+    assert spent.s < 1.0
+    with cpu_time() as spent:
+        h = inverse(g)
+    assert spent.s < 1.0
     assert len(g.w) > 1000 and h.w == g.w[::-1]
 
 
@@ -372,45 +382,6 @@ def reference_ball(n, r):
     return seen
 
 
-def bfs_ball_words(n, r):
-    """Oracle for _ball_words: breadth first over append_letter moves on
-    raw (w, t) pairs, as {word: {lattice part: layer}}, with the same
-    budget check.
-
-    x_i fixes t_i and negates every other coordinate, so t is negated
-    once per element, and the word step is taken once for x_i and
-    x_i^-1 = x_i tau(-e_i).
-    """
-    budget = hw_group.DEFAULT_BALL_BUDGET
-    zero = (0,) * n
-    seen = {(): {zero: 0}}
-    size = 1
-    frontier = [((), zero)]
-    for layer in range(1, r + 1):
-        next_frontier = []
-        for w, t in frontier:
-            twisted = [-v for v in t]
-            last = w[-1] if w else 0
-            for i in range(1, n + 1):
-                if i == last:  # x_i cancels, leaving the unit e_i
-                    word, plus = w[:-1], t[i - 1] + 1
-                else:
-                    word, plus = w + (i,), t[i - 1]
-                lattices = seen.setdefault(word, {})
-                for v in (plus, plus - 1):  # x_i, then x_i^-1
-                    twisted[i - 1] = v
-                    h = tuple(twisted)
-                    if h not in lattices:
-                        if size >= budget:
-                            raise BallBudgetError(f"ball exceeds budget of {budget} elements")
-                        size += 1
-                        lattices[h] = layer
-                        next_frontier.append((word, h))
-                twisted[i - 1] = -t[i - 1]
-        frontier = next_frontier
-    return seen
-
-
 def box_of(w, n):
     """B(w) of the word metric as (lo, hi) pairs, in one pass from the end
     of w: the occurrence of k at position j adds the choice of the unit
@@ -445,7 +416,7 @@ def test_ball_walk_matches_the_breadth_first_search(n, r, monkeypatch):
         return points
 
     monkeypatch.setattr(hw_group, "_near", listed)
-    got = hw_group._ball_words(n, r)
+    got = ball_words(n, r)
     assert got == {w: set(lattices) for w, lattices in bfs_ball_words(n, r).items()}
     # one emission per word, and no point emitted twice before the set dedupes
     assert len(emitted) == len(got)
@@ -469,9 +440,9 @@ def test_ball_size_is_exact_to_the_budget_and_stops_past_it():
     # R is capped at budget // (2n) + 1, so a large n costs O(budget + n)
     for n, r in ((4, 9), (4, 12), (30, 4), (706, 2), (2, 10**100), (706, 10**100),
                  (5000, 10000), (20000, 40000), (10**5, 10**6)):
-        start = time.perf_counter()
-        assert hw_group._ball_size(n, r) > hw_group.DEFAULT_BALL_BUDGET
-        assert time.perf_counter() - start < 0.5, (n, r)
+        with cpu_time() as spent:
+            assert hw_group._ball_size(n, r) > hw_group.DEFAULT_BALL_BUDGET
+        assert spent.s < 0.5, (n, r)
 
 
 @pytest.mark.parametrize("n, r", [(1, 10**9), (2, 10**5), (3, 10**4), (20000, 40000)])
@@ -480,10 +451,10 @@ def test_an_oversized_ball_is_refused_before_its_points_are_built(n, r, monkeypa
     # identity's neighbourhood, the first and largest, is never listed
     monkeypatch.setattr(hw_group, "_near", None)
     for search in (lambda: ball(n, r), lambda: torsion_probe(n, r, 2)):
-        start = time.perf_counter()
-        with pytest.raises(BallBudgetError, match="budget of 1000000 elements"):
+        with cpu_time() as spent, pytest.raises(BallBudgetError,
+                                                match="budget of 1000000 elements"):
             search()
-        assert time.perf_counter() - start < 0.5
+        assert spent.s < 0.5
 
 
 @pytest.mark.parametrize("n, r", WALK_GRID)
@@ -727,7 +698,7 @@ def test_torsion_probe_keeps_its_refusals(monkeypatch):
     for r, kmax in ((0, 2), (2, 0)):
         with pytest.raises(ValueError, match="at least 1"):
             torsion_probe(2, r, kmax)
-    # the probe reads its ball from hw_group._ball_words, which applies the bound
+    # the probe reads its ball from hw_group._walk, which applies the bound
     monkeypatch.setattr(hw_group, "DEFAULT_BALL_BUDGET", 3)
     for kmax in (1, 2):
         with pytest.raises(BallBudgetError, match="budget of 3 elements"):
@@ -735,18 +706,138 @@ def test_torsion_probe_keeps_its_refusals(monkeypatch):
 
 
 def test_torsion_probe_below_kmax_2_only_counts_its_ball(monkeypatch):
-    # the order lemma makes every answer below kmax = 2 empty
+    # the order lemma makes every answer below kmax = 2 empty, so the
+    # probe counts its ball and walks no word of it
     calls = []
-    honest = hw_group._near
-    monkeypatch.setattr(hw_group, "_near", lambda *args: calls.append(args) or honest(*args))
+    honest = hw_group._walk
+    monkeypatch.setattr(hw_group, "_walk", lambda *args: calls.append(args) or honest(*args))
     assert torsion_probe(3, 11, 1) == [] and calls == []
-    assert torsion_probe(3, 3, 2) == [] and calls
+    assert torsion_probe(3, 3, 2) == [] and calls == [(3, 3)]
 
 
 def test_rank_one_center_probe_rejected():
     # rank one is infinite cyclic; the probe only makes sense from rank two
     with pytest.raises(ValueError):
         center_probe(1, 2)
+
+
+def test_word_solves_take_a_fraction_of_the_point_search():
+    # The per-point search took 0.43 s (torsion) and 0.46 s (center) where
+    # the solves were pinned at 0.05 s.  The bound scales by how much
+    # slower the per-point oracle runs here and now, so load on a shared
+    # machine does not fail the pin, while a probe that lists every point
+    # still does.  Best of 5, in CPU seconds.
+    for probe, oracle, nominal in (
+            (lambda: torsion_probe(4, 8, 2), lambda: per_point_torsion_probe(4, 8, 2), 0.43),
+            (lambda: center_probe(4, 8), lambda: per_point_center_probe(4, 8), 0.46)):
+        with cpu_time() as spent:
+            assert oracle() == []
+        slower = max(1.0, spent.s / nominal)
+        times = []
+        for _ in range(5):
+            with cpu_time() as spent:
+                assert probe() == []
+            times.append(spent.s)
+        assert min(times) < 0.05 * slower, (times, slower)
+
+
+# Largest radius drawn per rank: the per-point oracles list every point.
+SOLVE_RADII = {0: 6, 1: 8, 2: 6, 3: 4, 4: 3, 5: 3}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SOLVE_RADII)).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, SOLVE_RADII[n]))),
+       st.sampled_from([None, "torsion", "center"]))
+def test_word_solves_match_the_per_point_probes(case, plant):
+    n, r = case
+    with pytest.MonkeyPatch.context() as patch:
+        if plant == "torsion" and n >= 1:
+            plant_torsion(patch)
+        if plant == "center" and n >= 2:
+            plant_center(patch, n)
+        found = torsion_probe(n, r, 2)
+        assert found == per_point_torsion_probe(n, r, 2)
+        if plant == "torsion" and n >= 1:
+            assert (generator(n, 1), 2) in found
+        if n >= 2:
+            found = center_probe(n, r)
+            assert found == per_point_center_probe(n, r)
+            assert (generator(n, 1) in found) == (plant == "center")
+
+
+def _window(n):
+    return itertools.product(range(-3, 4), repeat=n)
+
+
+def _solved(pins, t):
+    return pins is not None and all(p is None or p == v for p, v in zip(pins, t))
+
+
+@st.composite
+def _planted_word(draw):
+    """A reduced word of rank n in 1..4 and kernel results to plant for
+    it: small c vectors, so that the lattice systems often solve."""
+    n = draw(st.integers(1, 4))
+    word = []
+    for letter in draw(st.lists(st.integers(1, n), min_size=1, max_size=6)):
+        if not word or word[-1] != letter:
+            word.append(letter)
+    small = st.tuples(*[st.integers(-2, 2)] * n)
+    return n, tuple(word), draw(small), [(draw(small), draw(small)) for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_planted_word())
+def test_word_solves_match_the_per_element_tests(case):
+    # Plant w^2 = lift(()) tau(c) and, for each x_i, lift(w) x_i and
+    # x_i lift(w) with one word and the vectors c1, c2; the solves must
+    # give exactly the t of a window that the per-element tests pass.
+    # For w = (i,) the three products are one kernel call, planted once.
+    n, w, c, pairs = case
+    planted = {(w, w): ((), c)}
+    for i, (c1, c2) in enumerate(pairs, 1):
+        planted.setdefault((w, (i,)), (w, c1))
+        planted.setdefault(((i,), w), (w, c2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hw_group, "_mul_words", lambda u, v, m: planted[u, v])
+        squares_to_e = hw_group._squares_to_identity(w, n)
+        pins = hw_group._square_roots(w, n)
+        for t in _window(n):
+            assert _solved(pins, t) == squares_to_e(t), (t, pins)
+        if n >= 2:
+            tests = [hw_group._commutes_with(w, i, n) for i in range(1, n + 1)]
+            pins = hw_group._central_roots(w, n)
+            assert pins is None or None not in pins  # n >= 2 pins every t_k
+            for t in _window(n):
+                assert _solved(pins, t) == all(test(t) for test in tests), (t, pins)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=n, max_size=n),
+    st.integers(0, 4),
+    st.lists(st.one_of(st.none(), st.integers(-6, 6)), min_size=n, max_size=n))))
+def test_pinned_points_are_the_near_points_with_those_coordinates(case):
+    sides, R, pins = case
+    box = tuple(range(lo, lo + m) for lo, m in sides)
+    got = hw_group._near_pinned(box, R, pins)
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(t for t in hw_group._near(box, R) if _solved(pins, t))
+
+
+@pytest.mark.parametrize("seam, probe", [
+    ("_square_roots", lambda: torsion_probe(3, 3, 2)),
+    ("_central_roots", lambda: center_probe(3, 3)),
+])
+def test_a_solve_the_per_element_test_refutes_is_refused(seam, probe, monkeypatch):
+    # a tampered solve leaves every coordinate free, so it lists points
+    # whose square or commutators the per-element tests refute
+    monkeypatch.setattr(hw_group, seam, lambda w, n: [None] * n)
+    if seam == "_central_roots":  # and let every word through the gate
+        monkeypatch.setattr(hw_group, "_commutes_with", lambda w, i, n: lambda t: not any(t))
+    with pytest.raises(VerificationError, match="per-element test refutes"):
+        probe()
 
 
 

@@ -207,6 +207,30 @@ def test_value_semantics(module, name, fields, text):
         assert cls() == cls(coeffs=()) and repr(cls()) == "IntPolynomial(coeffs=())"
 
 
+# Each checked constructor with entries that int() would truncate or
+# parse: GroupElement((1.9,), (0.5, '3')) used to be w = x1 | t = (0,3).
+NON_INTEGERS = [
+    ("hw_group", "GroupElement", ((1.9,), (0, 3))),
+    ("hw_group", "GroupElement", ((1,), (0.5, 3))),
+    ("hw_group", "GroupElement", ((1,), (0, "3"))),
+    ("hw_group", "GroupElement", ((Fraction(1),), (0, 0))),
+    ("exact_algebra", "IntPolynomial", ((1.5, 2),)),
+    ("exact_algebra", "IntPolynomial", ((Fraction(2), 2),)),
+    ("exact_algebra", "IntPolynomial", (("1",),)),
+    ("cohomology_q", "Character", ((1.7, -1.2),)),
+    ("cohomology_q", "Character", ((1.0, -1),)),
+    ("cohomology_q", "Character", ((Fraction(1), "-1"),)),
+]
+
+
+@pytest.mark.parametrize("module, name, args", NON_INTEGERS,
+                         ids=[f"{name}-{args!r}" for _, name, args in NON_INTEGERS])
+def test_checked_constructors_refuse_non_integers(module, name, args):
+    cls = getattr(importlib.import_module(f"hwgroups.{module}"), name)
+    with pytest.raises(TypeError):
+        cls(*args)
+
+
 def test_no_module_builds_a_value_around_its_constructor():
     # Every value is built by its class's checked __new__ or by a
     # partial of tuple.__new__, never field by field on a bare object.

@@ -60,10 +60,14 @@ _CASES = {
                          "    Fraction(1, 2), Fraction(0)))\n"
                          "crystal.gamma3_generators = lambda: (_quarter, _b)",
                          "crystal.injectivity_probe(1)", "translates off (1/2)Z"),
-    # the integer test claims a fixed point for every element, which the
-    # rational solve refutes
-    "g2_fixed_point": ("crystal._fixes_a_point = lambda signs, doubled: True",
+    # the word solve leaves t free for every word, so it lists elements
+    # that the rational solve finds no fixed point for
+    "g2_fixed_point": ("crystal._fixed_pins = lambda signs, doubled: [None, None]",
                        "crystal.fixed_point_probe(2, 2)", "fixed_points none"),
+    # the word solve leaves t free for every word, so it lists elements
+    # whose square the per-element test refutes
+    "torsion_solve": ("hw_group._square_roots = lambda w, n: [None] * n",
+                      "hw_group.torsion_probe(3, 3, 2)", "per-element test refutes"),
 }
 
 
